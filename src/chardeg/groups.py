@@ -262,9 +262,6 @@ class Subgroup:
     def __contains__(self, idx: int) -> bool:
         return idx in self._member_set
 
-    def contains_subgroup(self, other: Subgroup) -> bool:
-        return self._member_set >= other._member_set
-
     def generating_set(self) -> tuple[int, ...]:
         if self.gens:
             return self.gens

@@ -1,10 +1,7 @@
 """Hot numeric kernels: orbit sweeps and prime-field row reduction.
 
-Two interchangeable implementations live here.  The numba-jitted path is
-used when numba imports cleanly and the environment variable CHARDEG_JIT
-is not set to "0"; otherwise a vectorized pure-numpy path runs.  Both
-must produce identical output (benchmarks/bench_kernels.py compares them
-for speed, tests compare them for equality).
+Both kernels are vectorized numpy.  rref_prime is the one echelon engine
+of the package: linalg.rref and the meataxe spin both reduce through it.
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -12,76 +9,22 @@ least significant, matching the scalar index encoding.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-JIT_ENABLED = os.environ.get("CHARDEG_JIT", "1").lower() not in ("0", "false", "no")
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Read by the environment fingerprint of perfbench/run.py; every kernel
+# here is plain numpy.
+JIT_ENABLED = False
 
 
-@njit(cache=True)
-def _orbit_sweep_jit(gens, r, dim, nvec):
-    labels = np.full(nvec, -1, dtype=np.int32)
-    reps = np.empty(nvec, dtype=np.int64)
-    sizes = np.zeros(nvec, dtype=np.int64)
-    stack = np.empty(nvec, dtype=np.int64)
-    v = np.empty(dim, dtype=np.int64)
-    w = np.empty(dim, dtype=np.int64)
-    ngens = gens.shape[0]
-    norb = 0
-    for start in range(nvec):
-        if labels[start] >= 0:
-            continue
-        oid = norb
-        norb += 1
-        reps[oid] = start
-        labels[start] = oid
-        stack[0] = start
-        top = 1
-        count = 0
-        while top > 0:
-            top -= 1
-            key = stack[top]
-            count += 1
-            kk = key
-            for j in range(dim):
-                v[j] = kk % r
-                kk //= r
-            for gi in range(ngens):
-                for i in range(dim):
-                    acc = 0
-                    for j in range(dim):
-                        acc += gens[gi, i, j] * v[j]
-                    w[i] = acc % r
-                nk = 0
-                for i in range(dim - 1, -1, -1):
-                    nk = nk * r + w[i]
-                if labels[nk] < 0:
-                    labels[nk] = oid
-                    stack[top] = nk
-                    top += 1
-        sizes[oid] = count
-    return labels, reps[:norb].copy(), sizes[:norb].copy()
+def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full orbit decomposition of F_r^dim under the generator matrices.
 
-
-def _orbit_sweep_numpy(gens, r, dim, nvec):
+    Returns (labels, reps, sizes): labels maps each packed key to its orbit
+    index; reps holds the minimal packed key of every orbit, in discovery
+    order (ascending); sizes the orbit cardinalities.
+    """
+    nvec = r**dim
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
     labels = np.full(nvec, -1, dtype=np.int32)
     powers = r ** np.arange(dim, dtype=np.int64)
     reps: list[int] = []
@@ -110,65 +53,9 @@ def _orbit_sweep_numpy(gens, r, dim, nvec):
     return labels, np.asarray(reps, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
 
 
-def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full orbit decomposition of F_r^dim under the generator matrices.
-
-    Returns (labels, reps, sizes): labels maps each packed key to its orbit
-    index; reps holds the minimal packed key of every orbit, in discovery
-    order (ascending); sizes the orbit cardinalities.
-    """
-    nvec = r**dim
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    if JIT_ENABLED:
-        return _orbit_sweep_jit(gens, r, dim, nvec)
-    return _orbit_sweep_numpy(gens, r, dim, nvec)
-
-
-@njit(cache=True)
-def _rref_prime_jit(A, p):
-    R = A.copy()
-    m, n = R.shape
-    pivots = np.empty(min(m, n), dtype=np.int64)
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pr = -1
-        for i in range(row, m):
-            if R[i, col] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != row:
-            for j in range(n):
-                tmp = R[row, j]
-                R[row, j] = R[pr, j]
-                R[pr, j] = tmp
-        # scale pivot row to 1
-        inv = 1
-        a = R[row, col] % p
-        e = p - 2
-        base = a
-        while e:
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        for j in range(n):
-            R[row, j] = R[row, j] * inv % p
-        for i in range(m):
-            if i != row and R[i, col] != 0:
-                f = R[i, col]
-                for j in range(n):
-                    R[i, j] = (R[i, j] - f * R[row, j]) % p
-        pivots[row] = col
-        row += 1
-    return R, pivots[:row].copy()
-
-
-def _rref_prime_numpy(A, p):
-    R = A.copy()
+def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over F_p; returns (reduced, pivot columns)."""
+    R = np.ascontiguousarray(A, dtype=np.int64) % p
     m, n = R.shape
     pivots = []
     row = 0
@@ -189,11 +76,3 @@ def _rref_prime_numpy(A, p):
         pivots.append(col)
         row += 1
     return R, np.asarray(pivots, dtype=np.int64)
-
-
-def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form over F_p; returns (reduced, pivot columns)."""
-    A = np.ascontiguousarray(A, dtype=np.int64) % p
-    if JIT_ENABLED:
-        return _rref_prime_jit(A, p)
-    return _rref_prime_numpy(A, p)

@@ -30,14 +30,10 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if F.is_prime_field:
         return (A @ B) % F.p
     add_t, mul_t = F.tables[0], F.tables[1]
-    acc = mul_t[A[:, 0][:, None], B[0][None, :]]
-    for k in range(1, A.shape[1]):
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for k in range(A.shape[1]):
         acc = add_t[acc, mul_t[A[:, k][:, None], B[k][None, :]]]
     return acc
-
-
-def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mat_mul(F, A, v.reshape(-1, 1)).reshape(-1)
 
 
 def mat_neg(F: Field, A: np.ndarray) -> np.ndarray:
@@ -54,12 +50,6 @@ def mat_add(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def mat_sub(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mat_add(F, A, mat_neg(F, B))
-
-
-def scalar_mul(F: Field, c: int, A: np.ndarray) -> np.ndarray:
-    if F.is_prime_field:
-        return (c * A) % F.p
-    return F.tables[1][c, A]
 
 
 def trace(F: Field, A: np.ndarray) -> int:
@@ -148,16 +138,13 @@ def mat_inv(F: Field, A: np.ndarray) -> np.ndarray:
 
 
 def row_space_contains(F: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
-    """Membership test against an RREF row basis."""
-    w = v.copy()
-    for row in basis_rref:
-        lead = np.flatnonzero(row)
-        if lead.size == 0:
-            continue
-        c = int(w[lead[0]])
-        if c:
-            w = mat_sub(F, w, scalar_mul(F, c, row))
-    return not w.any()
+    """Membership test against an RREF row basis.
+
+    A member's coordinates are its entries in the pivot columns, so v is in
+    the span exactly when v - v[pivots] . basis vanishes.
+    """
+    piv = (basis_rref != 0).argmax(axis=1)
+    return not mat_sub(F, v, mat_mul(F, v[piv][None, :], basis_rref)).any()
 
 
 @dataclass(frozen=True)
@@ -184,12 +171,6 @@ class Subspace:
             "ambient_dim": self.ambient_dim,
             "basis": [[int(x) for x in row] for row in self.basis],
         }
-
-
-def subspace_from_vectors(F: Field, vectors, ambient_dim: int) -> Subspace:
-    arr = np.asarray(list(vectors), dtype=np.int64).reshape(-1, ambient_dim)
-    res = rref(F, arr)
-    return Subspace(F, ambient_dim, res.reduced[: res.rank].copy())
 
 
 def kernel(F: Field, A) -> Subspace:

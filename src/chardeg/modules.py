@@ -17,6 +17,7 @@ import numpy as np
 
 from chardeg.fields import Field, field_make, field_from_json
 from chardeg.groups import CapExceeded, GroupTable, Subgroup, group_from_json, whole_group
+from chardeg.kernels import rref_prime
 from chardeg.linalg import (
     Subspace,
     identity_matrix,
@@ -45,9 +46,11 @@ class ModuleError(ValueError):
 
 
 class GModule:
-    """A representation of a GroupTable, given by invertible generator images."""
+    """A representation of a GroupTable over a prime field, by invertible generator images."""
 
     def __init__(self, group: GroupTable, field: Field, gen_images, check: bool = True):
+        if not field.is_prime_field:
+            raise ModuleError("modules are built over prime fields")
         self.group = group
         self.field = field
         imgs = [np.ascontiguousarray(m, dtype=np.int64) for m in gen_images]
@@ -268,82 +271,29 @@ def dual(m: GModule) -> GModule:
 # -- spinning and the meataxe ---------------------------------------------------
 
 
-class _SpinBasis:
-    """Semi-echelon row basis with pivot bookkeeping."""
-
-    def __init__(self, F: Field, dim: int):
-        self.F = F
-        self.dim = dim
-        self.rows = np.zeros((dim, dim), dtype=np.int64)
-        self.pivot_of_row: list[int] = []
-        self.row_of_pivot: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_of_row)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        F = self.F
-        v = v.copy()
-        while True:
-            nz = np.flatnonzero(v)
-            if nz.size == 0:
-                return v
-            lead = int(nz[0])
-            row_idx = self.row_of_pivot.get(lead)
-            if row_idx is None:
-                return v
-            c = int(v[lead])
-            if F.is_prime_field:
-                v = (v - c * self.rows[row_idx]) % F.p
-            else:
-                add_t, mul_t, neg_t, _ = F.tables
-                v = add_t[v, mul_t[neg_t[c], self.rows[row_idx]]]
-
-    def insert(self, v: np.ndarray) -> bool:
-        """Reduce v and add it to the basis; False if v was dependent."""
-        v = self.reduce(v)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        F = self.F
-        inv = F.inv(int(v[lead]))
-        if F.is_prime_field:
-            v = (v * inv) % F.p
-        else:
-            v = F.tables[1][inv, v]
-        idx = self.rank
-        self.rows[idx] = v
-        self.pivot_of_row.append(lead)
-        self.row_of_pivot[lead] = idx
-        return True
-
-    def matrix(self) -> np.ndarray:
-        return self.rows[: self.rank].copy()
-
-
 def spin(F: Field, seeds, action_mats, dim: int) -> np.ndarray:
-    """Closure of the seed row vectors under right action by the matrices."""
-    basis = _SpinBasis(F, dim)
-    queue: list[np.ndarray] = []
-    for v in seeds:
-        if basis.insert(np.asarray(v, dtype=np.int64)):
-            queue.append(basis.rows[basis.rank - 1].copy())
-    while queue and basis.rank < dim:
-        v = queue.pop()
-        for M in action_mats:
-            if F.is_prime_field:
-                w = (v @ M) % F.p
-            else:
-                add_t, mul_t = F.tables[0], F.tables[1]
-                acc = mul_t[v[0], M[0]]
-                for kk in range(1, dim):
-                    acc = add_t[acc, mul_t[v[kk], M[kk]]]
-                w = acc
-            if basis.insert(w):
-                queue.append(basis.rows[basis.rank - 1].copy())
-    return basis.matrix()
+    """Closure of the seed row vectors under right action by the matrices.
+
+    Breadth-first: each round images the whole frontier under every matrix
+    at once and reduces the images against a fully reduced basis, so a
+    vector's coordinates on the basis are its entries in the pivot columns.
+    The rows returned span the closure; they are not in pivot order.
+    """
+    p = F.p
+    stacked = np.concatenate(action_mats, axis=1)
+    basis, piv = rref_prime(np.asarray(list(seeds), dtype=np.int64).reshape(-1, dim), p)
+    basis = basis[: piv.size]
+    frontier = basis
+    while frontier.shape[0] and piv.size < dim:
+        imgs = ((frontier @ stacked) % p).reshape(-1, dim)
+        imgs = (imgs - imgs[:, piv] @ basis) % p
+        new, new_piv = rref_prime(imgs, p)
+        new = new[: new_piv.size]
+        basis = (basis - basis[:, new_piv] @ new) % p
+        basis = np.concatenate([basis, new])
+        piv = np.concatenate([piv, new_piv])
+        frontier = new
+    return basis
 
 
 def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
@@ -357,10 +307,7 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
             word = mat_mul(F, word, gen_images[int(rng.integers(g))])
         c = int(rng.integers(F.order))
         if c:
-            if F.is_prime_field:
-                A = (A + c * word) % F.p
-            else:
-                A = F.tables[0][A, F.tables[1][c, word]]
+            A = (A + c * word) % F.p
     return A
 
 
@@ -379,10 +326,7 @@ def _kernel_lines(F: Field, ker: np.ndarray, limit: int = LINE_ENUM_LIMIT):
         v = np.zeros(ker.shape[1], dtype=np.int64)
         for c, row in zip(coeffs, ker):
             if c:
-                if F.is_prime_field:
-                    v = (v + c * row) % F.p
-                else:
-                    v = F.tables[0][v, F.tables[1][c, row]]
+                v = (v + c * row) % F.p
         lines.append(v)
     return lines
 

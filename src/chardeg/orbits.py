@@ -55,8 +55,6 @@ class OrbitReport:
 
 
 def _check_orbit_module(m: GModule) -> None:
-    if not m.field.is_prime_field:
-        raise ModuleError("orbit enumeration needs a prime-field module")
     if m.field.p**m.dim > ORBIT_SPACE_CAP:
         raise CapExceeded(f"vector space of order {m.field.p}**{m.dim} exceeds {ORBIT_SPACE_CAP}")
 

@@ -712,13 +712,13 @@ def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:
     for name, s, fn in CHECKS:
         if suite != "all" and s != suite:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             expected, observed = fn(h)
             status = "pass" if expected == observed else "fail"
         except InconclusiveError as exc:
             expected, observed, status = "conclusive run", str(exc), "inconclusive"
-        results.append(CheckResult(name, s, status, expected, observed, time.time() - t0))
+        results.append(CheckResult(name, s, status, expected, observed, time.perf_counter() - t0))
     return results
 
 

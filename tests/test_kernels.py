@@ -1,10 +1,13 @@
-"""The jitted and pure-numpy kernel paths must agree exactly."""
+"""The kernels and the spin against brute-force pure-Python oracles."""
+
+import itertools
 
 import numpy as np
 
 from chardeg import kernels
 from chardeg.fields import field_make
 from chardeg.linalg import mat_inv
+from chardeg.modules import spin
 
 
 def _random_invertible(rng, F, n):
@@ -17,15 +20,120 @@ def _random_invertible(rng, F, n):
             continue
 
 
-def test_orbit_sweep_paths_agree():
+def _gauss_jordan(rows, p):
+    """Textbook Gauss-Jordan over F_p on lists of ints."""
+    R = [[x % p for x in row] for row in rows]
+    m = len(R)
+    n = len(R[0]) if R else 0
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if R[i][col]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = pow(R[r][col], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][col]:
+                f = R[i][col]
+                R[i] = [(a - f * b) % p for a, b in zip(R[i], R[r])]
+        pivots.append(col)
+    return R, pivots
+
+
+def _pack(v, r):
+    return sum(int(x) * r**i for i, x in enumerate(v))
+
+
+def _orbits_by_bfs(gens, r, dim):
+    """Orbits of F_r^dim under v -> M v, by a set-based breadth-first search."""
+    vecs = sorted(itertools.product(range(r), repeat=dim), key=lambda v: _pack(v, r))
+    labels = {}
+    reps, sizes = [], []
+    for v in vecs:
+        if v in labels:
+            continue
+        oid = len(reps)
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for M in gens:
+                    img = tuple(sum(int(M[i][j]) * w[j] for j in range(dim)) % r for i in range(dim))
+                    if img not in orbit:
+                        orbit.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        for w in orbit:
+            labels[w] = oid
+        reps.append(_pack(v, r))
+        sizes.append(len(orbit))
+    by_key = [labels[v] for v in vecs]
+    return by_key, reps, sizes
+
+
+def _closure(p, seeds, mats):
+    """Smallest set holding 0 and the seeds, closed under addition and v -> v M."""
+    span = {tuple([0] * len(seeds[0]))}
+
+    def add(x):
+        nonlocal span
+        if x not in span:
+            span = {tuple((a + c * b) % p for a, b in zip(s, x)) for s in span for c in range(p)}
+
+    for v in seeds:
+        add(tuple(int(x) % p for x in v))
+    changed = True
+    while changed:
+        changed = False
+        for w in list(span):
+            for M in mats:
+                img = tuple(int(x) for x in (np.asarray(w) @ M) % p)
+                if img not in span:
+                    add(img)
+                    changed = True
+    return span
+
+
+def _row_span(p, rows):
+    d = rows.shape[1]
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=rows.shape[0]):
+        v = np.zeros(d, dtype=np.int64)
+        for c, row in zip(coeffs, rows):
+            v = (v + c * row) % p
+        out.add(tuple(int(x) for x in v))
+    return out
+
+
+def test_rref_prime_matches_gauss_jordan():
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 5, 13):
+        for _ in range(30):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 9))
+            # low-rank products exercise skipped columns and zero rows
+            k = int(rng.integers(1, 5))
+            A = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+            R, piv = kernels.rref_prime(A, p)
+            R_ref, piv_ref = _gauss_jordan(A.tolist(), p)
+            assert R.tolist() == R_ref
+            assert piv.tolist() == piv_ref
+
+
+def test_orbit_sweep_matches_set_bfs():
     rng = np.random.default_rng(3)
-    for r, dim in ((2, 6), (3, 5), (5, 3)):
+    for r, dim in ((2, 6), (3, 4), (5, 3)):
         F = field_make(r)
-        gens = np.stack([_random_invertible(rng, F, dim) for _ in range(3)])
-        jit = kernels._orbit_sweep_jit(gens, r, dim, r**dim)
-        ref = kernels._orbit_sweep_numpy(gens, r, dim, r**dim)
-        for a, b in zip(jit, ref):
-            assert np.array_equal(a, b)
+        for ngens in (1, 3):
+            gens = np.stack([_random_invertible(rng, F, dim) for _ in range(ngens)])
+            labels, reps, sizes = kernels.orbit_sweep(gens, r, dim)
+            labels_ref, reps_ref, sizes_ref = _orbits_by_bfs(gens, r, dim)
+            assert labels.tolist() == labels_ref
+            assert reps.tolist() == reps_ref
+            assert sizes.tolist() == sizes_ref
 
 
 def test_orbit_sweep_partitions_space():
@@ -42,28 +150,23 @@ def test_orbit_sweep_partitions_space():
         assert sizes[oid] == members.size
 
 
-def test_rref_paths_agree():
-    rng = np.random.default_rng(11)
-    for p in (2, 3, 5, 13):
-        for _ in range(20):
-            m = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 9))
-            A = rng.integers(0, p, size=(m, n)).astype(np.int64)
-            Rj, pj = kernels._rref_prime_jit(A, p)
-            Rn, pn = kernels._rref_prime_numpy(A, p)
-            assert np.array_equal(Rj, Rn)
-            assert np.array_equal(pj, pn)
-
-
-def test_catalog_identical_under_fallback(monkeypatch):
-    """Catalog content must not depend on which kernel path is active."""
-    from chardeg.groups import sl2_group
-    from chardeg.modules import irreducible_catalog
-
-    g = sl2_group(4)
-    with_jit = irreducible_catalog(g, 3, 8)
-    monkeypatch.setattr(kernels, "JIT_ENABLED", False)
-    without = irreducible_catalog(g, 3, 8)
-    assert [(e.dim, e.ell, e.faithful, e.fingerprint) for e in with_jit.entries] == [
-        (e.dim, e.ell, e.faithful, e.fingerprint) for e in without.entries
-    ]
+def test_spin_matches_exhaustive_closure():
+    rng = np.random.default_rng(17)
+    F2, F3 = field_make(2), field_make(3)
+    for p, dims in ((2, range(1, 9)), (3, range(1, 6))):
+        F = F2 if p == 2 else F3
+        for d in dims:
+            for _ in range(4):
+                mats = [rng.integers(0, p, size=(d, d)) for _ in range(int(rng.integers(1, 3)))]
+                # zeroing a corner block leaves the first k coordinates invariant,
+                # so some closures are proper subspaces
+                k = int(rng.integers(1, d + 1))
+                for M in mats:
+                    M[:k, k:] = 0
+                seeds = rng.integers(0, p, size=(int(rng.integers(1, 3)), d))
+                if rng.integers(2):
+                    seeds[:, k:] = 0
+                W = spin(F, list(seeds), mats, d)
+                span = _row_span(p, W)
+                assert len(span) == p ** W.shape[0]  # the rows are independent
+                assert span == _closure(p, list(seeds), mats)

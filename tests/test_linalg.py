@@ -52,6 +52,15 @@ def test_kernel_f2_sum_vector():
     assert not ker.contains([1, 0])
 
 
+def test_kernel_membership_over_f4():
+    ker = kernel(F4, [[1, 1]])
+    assert ker.contains([2, 2])  # x * (1, 1)
+    assert not ker.contains([2, 3])
+    empty = kernel(F4, identity_matrix(2))
+    assert empty.contains([0, 0])
+    assert not empty.contains([0, 1])
+
+
 def test_mat_inv_round_trip():
     rng = np.random.default_rng(0)
     for F in (F3, F5, F4, F9):

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from chardeg.fields import field_make
 from chardeg.groups import sl2_group, subgroup_from_gens, sylow_char_subgroups
 from chardeg.linalg import identity_matrix, mat_mul
 from chardeg.modules import (
+    ModuleError,
     chop,
     dual,
     endo_dim,
@@ -247,6 +249,13 @@ def test_module_json_round_trip(g5):
     m2 = module_from_json(data)
     assert m2.dim == nat.dim
     assert m2.group.order == g5.order
+
+
+def test_module_from_json_rejects_extension_field(g5):
+    data = trivial_module(g5, 3).to_json()
+    data["field"] = field_make(2, 2).to_json()
+    with pytest.raises(ModuleError):
+        module_from_json(data)
 
 
 def test_budget_exhaustion_is_inconclusive(g5):
