@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 a cap or randomized-search budget was exceeded.  All randomized
+Exit codes: 0 success, 1 a verification check failed or ended in an error,
+2 usage error, 3 a cap or randomized-search budget was exceeded (for
+verify: a check was inconclusive).  All randomized
 procedures key off --seed (or the CHARDEG_SEED environment variable),
 and identical invocations produce byte-identical JSON.
 """

@@ -65,7 +65,6 @@ class GroupTable:
         self.dim = 2
         self.gens = np.ascontiguousarray(gens, dtype=np.int64)
         self._close()
-        self._cache: dict = {}
 
     # -- closure --------------------------------------------------------------
 
@@ -73,46 +72,48 @@ class GroupTable:
         q = self.field.order
         return ((int(m[0, 0]) * q + int(m[0, 1])) * q + int(m[1, 0])) * q + int(m[1, 1])
 
+    def _keys(self, mats: np.ndarray) -> np.ndarray:
+        """_key of every matrix in a stack, as one int64 array."""
+        q = self.field.order
+        return ((mats[..., 0, 0] * q + mats[..., 0, 1]) * q + mats[..., 1, 0]) * q + mats[..., 1, 1]
+
     def _close(self) -> None:
+        """Breadth-first closure, one batched product per BFS level.
+
+        The level [lo, hi) is multiplied by every generator at once; the
+        products are then taken in (element, generator) order and each key
+        not seen before is appended.  That is exactly the order in which
+        the element-at-a-time BFS appends them, so elems, parent and
+        parent_gen are the same arrays.
+        """
         F = self.field
-        if F.is_prime_field:
-            p = F.p
-
-            def mul(a, b):
-                return (a @ b) % p
-
-        else:
-            add_l = F.tables[0]
-            mul_l = F.tables[1]
-
-            def mul(a, b):
-                return add_l[mul_l[a[:, 0:1], b[0:1, :]], mul_l[a[:, 1:2], b[1:2, :]]]
-
-        ident = np.eye(2, dtype=np.int64)
-        elems = [ident]
-        key_index = {self._key(ident): 0}
-        parent = [-1]
-        parent_gen = [-1]
-        gens = [np.ascontiguousarray(g) for g in self.gens]
-        pos = 0
-        while pos < len(elems):
-            cur = elems[pos]
-            for gi, g in enumerate(gens):
-                prod = mul(cur, g)
-                k = self._key(prod)
-                if k not in key_index:
-                    key_index[k] = len(elems)
-                    elems.append(prod)
-                    parent.append(pos)
-                    parent_gen.append(gi)
-                    if len(elems) > ENUMERATION_CAP:
-                        raise CapExceeded(f"closure exceeded the cap {ENUMERATION_CAP}")
-            pos += 1
-        self.elems = np.ascontiguousarray(np.stack(elems), dtype=np.int64)
+        n_gens = len(self.gens)
+        elems = [np.eye(2, dtype=np.int64)[None]]
+        parents = [np.asarray([-1], dtype=np.int64)]
+        parent_gens = [np.asarray([-1], dtype=np.int64)]
+        seen = self._keys(elems[0])  # sorted keys of every element so far
+        lo, total = 0, 1
+        frontier = elems[0]
+        while frontier.shape[0]:
+            prods = _batch_mul(F, frontier[:, None], self.gens[None]).reshape(-1, 2, 2)
+            keys = self._keys(prods)
+            uniq, first = np.unique(keys, return_index=True)
+            pos = np.searchsorted(seen, uniq).clip(max=seen.size - 1)
+            new = np.sort(first[seen[pos] != uniq])
+            if total + new.size > ENUMERATION_CAP:
+                raise CapExceeded(f"closure exceeded the cap {ENUMERATION_CAP}")
+            frontier = prods[new]
+            elems.append(frontier)
+            parents.append(lo + new // n_gens)
+            parent_gens.append(new % n_gens)
+            seen = np.sort(np.concatenate([seen, keys[new]]))
+            lo = total
+            total += new.size
+        self.elems = np.ascontiguousarray(np.concatenate(elems), dtype=np.int64)
         self.elems.flags.writeable = False
-        self.key_index = key_index
-        self.parent = np.asarray(parent, dtype=np.int64)
-        self.parent_gen = np.asarray(parent_gen, dtype=np.int64)
+        self.key_index = dict(zip(self._keys(self.elems).tolist(), range(total)))
+        self.parent = np.concatenate(parents)
+        self.parent_gen = np.concatenate(parent_gens)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -140,9 +141,7 @@ class GroupTable:
         return self.indices_of_matrices(inv_mats)
 
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
-        q = self.field.order
-        keys = ((mats[:, 0, 0] * q + mats[:, 0, 1]) * q + mats[:, 1, 0]) * q + mats[:, 1, 1]
-        return np.asarray([self.key_index[int(k)] for k in keys], dtype=np.int64)
+        return np.asarray([self.key_index[k] for k in self._keys(mats).tolist()], dtype=np.int64)
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator word (indices into gens) whose product is element i."""
@@ -175,29 +174,41 @@ class GroupTable:
 
     @cached_property
     def conjugacy_classes(self) -> np.ndarray:
-        """class_id per element; ids numbered by least member position."""
-        n = self.order
-        cls = np.full(n, -1, dtype=np.int64)
-        gen_idx = self.indices_of_matrices(self.gens)
-        nxt = 0
-        for start in range(n):
-            if cls[start] >= 0:
-                continue
-            cls[start] = nxt
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for g in gen_idx:
-                    y = self.mult(self.mult(int(self.inverse[g]), x), int(g))
-                    if cls[y] < 0:
-                        cls[y] = nxt
-                        stack.append(y)
-            nxt += 1
-        return cls
+        """class_id per element; ids numbered by least member position.
 
-    def conjugate_index(self, x: int, g: int) -> int:
-        """Index of g^-1 x g."""
-        return self.mult(self.mult(int(self.inverse[g]), x), g)
+        Each generator g gives the permutation x -> g^-1 x g of the element
+        indices.  Every element takes the least label of its orbit through
+        min-label propagation with pointer jumping; the classes are then
+        numbered in the order of their least members.
+        """
+        n = self.order
+        F = self.field
+        gen_idx = self.indices_of_matrices(self.gens)
+        perms = [
+            self.indices_of_matrices(
+                _batch_mul(F, _batch_mul(F, self.elems[self.inverse[g]], self.elems), self.elems[g])
+            )
+            for g in gen_idx
+        ]
+        label = np.arange(n, dtype=np.int64)
+        while True:
+            prev = label
+            for perm in perms:
+                label = np.minimum(label, label[perm])
+            label = label[label]
+            if np.array_equal(label, prev):
+                break
+        least = label == np.arange(n)
+        return (np.cumsum(least) - 1)[label]
+
+    @cached_property
+    def sylow_map(self) -> tuple[list[Subgroup], np.ndarray]:
+        """The Sylow t-subgroups plus an element -> Sylow index map (-1 off them)."""
+        sylows = sylow_char_subgroups(self)
+        owner = np.full(self.order, -1, dtype=np.int64)
+        for i, T in enumerate(sylows):
+            owner[list(T.members[1:])] = i
+        return sylows, owner
 
     def to_json(self) -> dict:
         return {
@@ -432,19 +443,6 @@ def normalizer(group: GroupTable, sub: Subgroup) -> Subgroup:
     return Subgroup(group, tuple(int(i) for i in np.flatnonzero(ok)))
 
 
-def _sylow_membership(group: GroupTable) -> tuple[list[Subgroup], np.ndarray]:
-    """The Sylow t-subgroups plus an element -> Sylow index map."""
-    if "sylow_map" not in group._cache:
-        sylows = sylow_char_subgroups(group)
-        owner = np.full(group.order, -1, dtype=np.int64)
-        for i, T in enumerate(sylows):
-            for m in T.members:
-                if m != 0:
-                    owner[m] = i
-        group._cache["sylow_map"] = (sylows, owner)
-    return group._cache["sylow_map"]
-
-
 def count_normalized_sylow(group: GroupTable, r_sub: Subgroup, t: int) -> int:
     """Number of Sylow t-subgroups whose normalizer contains r_sub.
 
@@ -461,14 +459,14 @@ def count_normalized_sylow(group: GroupTable, r_sub: Subgroup, t: int) -> int:
     (r_prime,) = fac
     if r_prime % 2 == 0 or (group.field.order - 1) % r_prime != 0:
         raise GroupError("the prime of r_sub must be odd and divide q - 1")
-    sylows, owner = _sylow_membership(group)
-    gens = r_sub.generating_set()
-    count = 0
-    for i, T in enumerate(sylows):
-        probe = T.members[1]
-        if all(owner[group.conjugate_index(probe, g)] == i for g in gens):
-            count += 1
-    return count
+    sylows, owner = group.sylow_map
+    F = group.field
+    probes = group.elems[[T.members[1] for T in sylows]]
+    fixed = np.ones(len(sylows), dtype=bool)
+    for g in r_sub.generating_set():
+        conj = _batch_mul(F, _batch_mul(F, group.elems[group.inverse[g]], probes), group.elems[g])
+        fixed &= owner[group.indices_of_matrices(conj)] == np.arange(len(sylows))
+    return int(fixed.sum())
 
 
 def contains_normal_full_sylow(group: GroupTable, sub: Subgroup, r: int) -> bool:
@@ -503,10 +501,8 @@ def stabilizer_structure(sub: Subgroup) -> tuple[int, tuple[tuple[int, int], ...
 
 def center(group: GroupTable) -> Subgroup:
     """Elements commuting with every generator."""
-    gen_idx = group.indices_of_matrices(group.gens)
-    members = [
-        i
-        for i in range(group.order)
-        if all(group.mult(i, g) == group.mult(g, i) for g in gen_idx)
-    ]
-    return Subgroup(group, tuple(members))
+    F = group.field
+    central = np.ones(group.order, dtype=bool)
+    for g in group.gens:
+        central &= (_batch_mul(F, group.elems, g) == _batch_mul(F, g, group.elems)).all(axis=(1, 2))
+    return Subgroup(group, tuple(int(i) for i in np.flatnonzero(central)))

@@ -70,7 +70,6 @@ class GModule:
                 except ZeroDivisionError:
                     raise ModuleError("generator image is singular") from None
         self.gen_images = tuple(imgs)
-        self._cache: dict = {}
 
     # -- element images --------------------------------------------------------
 
@@ -91,8 +90,14 @@ class GModule:
         out[0] = identity_matrix(self.dim)
         parent = self.group.parent
         pgen = self.group.parent_gen
-        for i in range(1, n):
-            out[i] = mat_mul(self.field, out[parent[i]], self.gen_images[pgen[i]])
+        gens = np.stack(self.gen_images)
+        # parent is nondecreasing and parent[i] < i, so the elements whose
+        # parents are all below lo form one BFS level [lo, hi)
+        lo = 1
+        while lo < n:
+            hi = int(np.searchsorted(parent, lo))
+            out[lo:hi] = np.matmul(out[parent[lo:hi]], gens[pgen[lo:hi]]) % self.field.p
+            lo = hi
         out.flags.writeable = False
         return out
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chardeg.classify import (
+    ClassifyError,
     GroupDescriptor,
     TwoComponentInput,
     inequality_ledger,
@@ -31,6 +32,8 @@ from chardeg.graphs import (
     graph_from_degrees,
 )
 from chardeg.groups import (
+    BudgetExceeded,
+    CapExceeded,
     contains_normal_full_sylow,
     count_normalized_sylow,
     sl2_group,
@@ -72,7 +75,7 @@ ORBIT_SPACE_SWEEP_CAP = 3**12
 class CheckResult:
     name: str
     suite: str
-    status: str  # pass | fail | inconclusive
+    status: str  # pass | fail | inconclusive | error
     expected: object
     observed: object
     elapsed: float
@@ -703,6 +706,9 @@ CHECKS = (
 
 SUITES = ("graphs", "groups", "modules", "orbits", "ledgers", "all")
 
+#: errors that end one check as status "error" while the run goes on
+CHECK_ERRORS = (CapExceeded, BudgetExceeded, ClassifyError, LookupError)
+
 
 def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:
     if suite not in SUITES:
@@ -718,6 +724,8 @@ def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:
             status = "pass" if expected == observed else "fail"
         except InconclusiveError as exc:
             expected, observed, status = "conclusive run", str(exc), "inconclusive"
+        except CHECK_ERRORS as exc:
+            expected, observed, status = "no error", f"{type(exc).__name__}: {exc}", "error"
         results.append(CheckResult(name, s, status, expected, observed, time.perf_counter() - t0))
     return results
 
@@ -726,6 +734,6 @@ def report_json(results: list[CheckResult]) -> dict:
     return {
         "checks": [r.to_json() for r in sorted(results, key=lambda r: r.name)],
         "passed": sum(r.status == "pass" for r in results),
-        "failed": sum(r.status == "fail" for r in results),
+        "failed": sum(r.status in ("fail", "error") for r in results),
         "inconclusive": sum(r.status == "inconclusive" for r in results),
     }

@@ -105,6 +105,27 @@ def test_verify_single_suite(capsys, tmp_path):
     assert names == sorted(names)
 
 
+def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):
+    import chardeg.verify as verify
+    from chardeg.groups import CapExceeded
+
+    def raising(h):
+        raise CapExceeded("cap hit on purpose")
+
+    def passing(h):
+        return 1, 1
+
+    monkeypatch.setattr(verify, "CHECKS", (("a-raises", "groups", raising), ("b-passes", "groups", passing)))
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--out", str(out_file)]) == 1
+    report = json.loads(out_file.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["a-raises"]["status"] == "error"
+    assert by_name["a-raises"]["observed"] == "CapExceeded: cap hit on purpose"
+    assert by_name["b-passes"]["status"] == "pass"
+    assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"q": 9, "family": "psl2"}))

@@ -5,6 +5,7 @@ from chardeg.fields import field_make
 from chardeg.groups import (
     CapExceeded,
     GroupTable,
+    center,
     contains_normal_full_sylow,
     count_normalized_sylow,
     cyclic_generator,
@@ -154,3 +155,126 @@ def test_center_and_simple_quotient_order(g7):
     assert g7.order // z.order == 168
     g4 = sl2_group(4)
     assert center(g4).order == 1  # trivial center in even characteristic
+
+
+# -- element-at-a-time oracles for the batched closure and queries -------------
+
+ORACLE_QS = (4, 5, 7, 8, 9, 16, 25, 27)
+
+
+def _mul_2x2(F, a, b):
+    if F.is_prime_field:
+        return (a @ b) % F.p
+    add, mul = F.tables[0], F.tables[1]
+    return add[mul[a[:, 0:1], b[0:1, :]], mul[a[:, 1:2], b[1:2, :]]]
+
+
+def _bfs_oracle(F, gens):
+    """The element-at-a-time BFS closure, which fixes the canonical element order."""
+    ident = np.eye(2, dtype=np.int64)
+    elems, parent, parent_gen = [ident], [-1], [-1]
+    index = {ident.tobytes(): 0}
+    pos = 0
+    while pos < len(elems):
+        for gi, g in enumerate(gens):
+            prod = _mul_2x2(F, elems[pos], g)
+            if prod.tobytes() not in index:
+                index[prod.tobytes()] = len(elems)
+                elems.append(prod)
+                parent.append(pos)
+                parent_gen.append(gi)
+        pos += 1
+    return np.stack(elems), np.asarray(parent), np.asarray(parent_gen)
+
+
+def _generator_major_closure(F, gens):
+    """A level-batched closure that scans each level generator by generator."""
+    ident = np.eye(2, dtype=np.int64)
+    elems, parent = [ident], [-1]
+    index = {ident.tobytes()}
+    lo = 0
+    while lo < len(elems):
+        hi = len(elems)
+        for g in gens:
+            for pos in range(lo, hi):
+                prod = _mul_2x2(F, elems[pos], g)
+                if prod.tobytes() not in index:
+                    index.add(prod.tobytes())
+                    elems.append(prod)
+                    parent.append(pos)
+        lo = hi
+    return np.stack(elems), np.asarray(parent)
+
+
+def _assert_closure_matches_oracle(g):
+    elems, parent, parent_gen = _bfs_oracle(g.field, g.gens)
+    assert np.array_equal(g.elems, elems)
+    assert np.array_equal(g.parent, parent)
+    assert np.array_equal(g.parent_gen, parent_gen)
+    assert g.key_index == {g._key(m): i for i, m in enumerate(elems)}
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_closure_matches_element_bfs(q):
+    _assert_closure_matches_oracle(sl2_group(q))
+
+
+def test_custom_generator_closure_matches_element_bfs():
+    F = field_make(5)
+    _assert_closure_matches_oracle(GroupTable(F, np.stack([identity_matrix(2)])))
+    borel = np.asarray([[[1, 1], [0, 1]], [[2, 0], [0, 3]]], dtype=np.int64)
+    g = GroupTable(F, borel)
+    assert g.order == 20
+    _assert_closure_matches_oracle(g)
+
+
+def test_generator_major_scan_fails_the_oracle():
+    g = sl2_group(7)
+    elems, parent = _generator_major_closure(g.field, g.gens)
+    assert len(elems) == g.order
+    assert not np.array_equal(g.elems, elems)
+    assert not np.array_equal(g.parent, parent)
+
+
+@pytest.mark.parametrize("q", (4, 5, 7, 8, 9, 16))
+def test_center_and_classes_match_mult_oracles(q):
+    g = sl2_group(q)
+    gen_idx = [g.index_of(m) for m in g.gens]
+    members = [i for i in range(g.order) if all(g.mult(i, k) == g.mult(k, i) for k in gen_idx)]
+    assert center(g).members == tuple(members)
+    # depth-first search over generator conjugates, numbering by least member
+    cls = np.full(g.order, -1, dtype=np.int64)
+    nxt = 0
+    for start in range(g.order):
+        if cls[start] >= 0:
+            continue
+        cls[start] = nxt
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for k in gen_idx:
+                y = g.mult(g.mult(int(g.inverse[k]), x), k)
+                if cls[y] < 0:
+                    cls[y] = nxt
+                    stack.append(y)
+        nxt += 1
+    assert np.array_equal(g.conjugacy_classes, cls)
+
+
+@pytest.mark.parametrize("q,r", [(7, 3), (11, 5), (13, 3), (16, 3), (16, 5), (19, 3)])
+def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
+    g = sl2_group(q)
+    t = g.field.p
+    sylows = sylow_char_subgroups(g)
+    owner = {m: i for i, T in enumerate(sylows) for m in T.members if m != 0}
+    orders = g.element_orders
+    # nontrivial elements whose order is a power of r
+    r_elems = [int(x) for x in np.flatnonzero((orders > 1) & (r**6 % orders == 0))]
+    subs = [subgroup_from_gens(g, [x]) for x in r_elems[:24]] + [sylow(g, r)]
+    for sub in subs:
+        gens = sub.generating_set()
+        expected = sum(
+            all(owner[g.mult(g.mult(int(g.inverse[k]), T.members[1]), k)] == i for k in gens)
+            for i, T in enumerate(sylows)
+        )
+        assert count_normalized_sylow(g, sub, t) == expected

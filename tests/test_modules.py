@@ -278,3 +278,15 @@ def test_module_images_consistency(g5):
         lhs = imgs[g5.mult(x, y)]
         rhs = mat_mul(nat.field, imgs[x], imgs[y])
         assert np.array_equal(lhs, rhs)
+
+
+def test_element_images_match_word_replay():
+    """The level-batched image table against replaying each element's generator word."""
+    mods = [natural_restricted(q) for q in (5, 9, 16)]
+    cat = irreducible_catalog(sl2_group(7), 3, 8)
+    mods.append(cat.select(dim=8, faithful=True)[0].module)
+    for m in mods:
+        imgs = m.element_images
+        assert imgs.shape == (m.group.order, m.dim, m.dim)
+        for i in range(m.group.order):
+            assert np.array_equal(imgs[i], m.image_of(i))
