@@ -84,14 +84,15 @@ def _match_frobenius(sub: Subgroup, sig) -> dict[int, int]:
     raise ClassifyError(f"stabilizer of order {order} is outside the built-in table")
 
 
-def semidirect_degrees(m: GModule, check_consistency: bool = True) -> DegreeSet:
+def semidirect_degrees(m: GModule) -> DegreeSet:
     """Degree set of the split extension of the module by its group.
 
     Degrees are cd of the acting SL2 family together with index-times-
     degree contributions from the stabilizers of nonzero covectors, under
     the standing assumption that a linear character of the module
     extends to its inertia group (the extension is split).  Modules with
-    nonzero fixed vectors are rejected.
+    nonzero fixed vectors are rejected, and so is a degree set whose sum of
+    squares is not the order of the extension.
     """
     group = m.group
     q = group.field.order
@@ -109,11 +110,10 @@ def semidirect_degrees(m: GModule, check_consistency: bool = True) -> DegreeSet:
         for d, k in stabilizer_degree_multiplicities(stab).items():
             mult[index * d] = mult.get(index * d, 0) + k
     ds = DegreeSet.from_multiplicities(mult)
-    if check_consistency:
-        total = ds.sum_of_squares()
-        expected = (m.field.p**m.dim) * group.order
-        if total != expected:
-            raise ClassifyError(f"extension sum of squares {total} != {expected}")
+    total = ds.sum_of_squares()
+    expected = (m.field.p**m.dim) * group.order
+    if total != expected:
+        raise ClassifyError(f"extension sum of squares {total} != {expected}")
     return ds
 
 

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from chardeg.fields import Field, field_make
+from chardeg.kernels import orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
 ENUMERATION_CAP = 10**6
@@ -177,11 +178,9 @@ class GroupTable:
         """class_id per element; ids numbered by least member position.
 
         Each generator g gives the permutation x -> g^-1 x g of the element
-        indices.  Every element takes the least label of its orbit through
-        min-label propagation with pointer jumping; the classes are then
-        numbered in the order of their least members.
+        indices; orbit_labels finds the least member of every class, and the
+        classes are numbered in the order of their least members.
         """
-        n = self.order
         F = self.field
         gen_idx = self.indices_of_matrices(self.gens)
         perms = [
@@ -190,16 +189,19 @@ class GroupTable:
             )
             for g in gen_idx
         ]
-        label = np.arange(n, dtype=np.int64)
-        while True:
-            prev = label
-            for perm in perms:
-                label = np.minimum(label, label[perm])
-            label = label[label]
-            if np.array_equal(label, prev):
-                break
-        least = label == np.arange(n)
+        label = orbit_labels(perms, self.order)
+        least = label == np.arange(self.order)
         return (np.cumsum(least) - 1)[label]
+
+    @cached_property
+    def class_reps(self) -> np.ndarray:
+        """Least member of every conjugacy class, in class-id order.
+
+        Classes are numbered by their least members, so the running maximum
+        of the class ids first reaches c at the least member of class c.
+        """
+        cls = self.conjugacy_classes
+        return np.searchsorted(np.maximum.accumulate(cls), np.arange(int(cls.max()) + 1))
 
     @cached_property
     def sylow_map(self) -> tuple[list[Subgroup], np.ndarray]:
@@ -388,40 +390,22 @@ def _power_index(group: GroupTable, x: int, n: int) -> int:
 def sylow_char_subgroups(group: GroupTable) -> list[Subgroup]:
     """All Sylow t-subgroups of SL2(t^a), t the field characteristic.
 
-    Each nontrivial unipotent element fixes a unique projective point;
-    grouping by that point partitions them into the q + 1 Sylow
-    t-subgroups.
+    Each nontrivial t-element fixes a unique projective point; grouping by
+    that point partitions them into the q + 1 Sylow t-subgroups, listed in
+    the point order (0, 1), (1, 0), (1, 1), ..., (1, q - 1).
     """
     F = group.field
-    t = F.p
+    q = F.order
     orders = group.element_orders
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(group.order):
-        o = int(orders[i])
-        if o == 1 or p_part(o, t) != o:
-            continue
-        m = group.elems[i]
-        # eigenvector for eigenvalue 1 of a unipotent 2x2 matrix
-        a = F.sub(int(m[0, 0]), 1)
-        b = int(m[0, 1])
-        c = int(m[1, 0])
-        d = F.sub(int(m[1, 1]), 1)
-        if a == 0 and b == 0:
-            vec = (F.neg(d), c) if (c or d) else (1, 0)
-        else:
-            vec = (F.neg(b), a)
-        # normalize the projective point
-        if vec[0] != 0:
-            s = F.inv(vec[0])
-            point = (1, F.mul(s, vec[1]))
-        else:
-            point = (0, 1)
-        buckets.setdefault(point, []).append(i)
-    subs = []
-    for point in sorted(buckets):
-        members = tuple(sorted([0] + buckets[point]))
-        subs.append(Subgroup(group, members))
-    return subs
+    t_elems = np.flatnonzero((orders > 1) & (q % orders == 0))
+    points = np.asarray([[0, 1]] + [[1, y] for y in range(q)], dtype=np.int64)[:, :, None]
+    images = _batch_mul(F, group.elems[t_elems][:, None], points[None])
+    # a t-element is unipotent, so its fixed point is fixed vector-wise
+    fixed = (images == points[None]).all(axis=(2, 3))
+    if not (fixed.sum(axis=1) == 1).all():
+        raise GroupError("a nontrivial t-element must fix exactly one projective point")
+    point_of = fixed.argmax(axis=1)
+    return [Subgroup(group, (0, *t_elems[point_of == j].tolist())) for j in range(len(points))]
 
 
 def normalizer(group: GroupTable, sub: Subgroup) -> Subgroup:

@@ -1,7 +1,9 @@
-"""Hot numeric kernels: orbit sweeps and prime-field row reduction.
+"""Hot numeric kernels: orbit labelling and prime-field row reduction.
 
-Both kernels are vectorized numpy.  rref_prime is the one echelon engine
-of the package: linalg.rref and the meataxe spin both reduce through it.
+Both kernels are vectorized numpy.  orbit_labels is the one orbit engine
+of the package: vector orbits, conjugacy classes and power-map cycles are
+all labelled through it.  rref_prime is the one echelon engine: linalg.rref
+and the meataxe spin both reduce through it.
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -16,41 +18,52 @@ import numpy as np
 JIT_ENABLED = False
 
 
+# Keys per block when orbit_sweep builds the generator permutations: the
+# int64 digit matrix of one block is all the build holds besides the int32
+# permutations themselves.
+SWEEP_CHUNK = 1 << 12
+
+
+def orbit_labels(perms, n: int) -> np.ndarray:
+    """Least member of every point's orbit under the index permutations.
+
+    Each point repeatedly takes the least label among its own and its
+    images' labels, and labels are shortcut through their own label
+    (pointer jumping) until nothing changes.  Returns int32 labels.
+    """
+    label = np.arange(n, dtype=np.int32)
+    while True:
+        prev = label.copy()
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
+
+
 def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full orbit decomposition of F_r^dim under the generator matrices.
 
-    Returns (labels, reps, sizes): labels maps each packed key to its orbit
-    index; reps holds the minimal packed key of every orbit, in discovery
-    order (ascending); sizes the orbit cardinalities.
+    Returns (labels, reps, sizes): labels (int32) maps each packed key to
+    its orbit index; reps (int64) holds the minimal packed key of every
+    orbit, ascending, and orbits are numbered in that order; sizes (int64)
+    the orbit cardinalities.
     """
     nvec = r**dim
     gens = np.ascontiguousarray(gens, dtype=np.int64)
-    labels = np.full(nvec, -1, dtype=np.int32)
     powers = r ** np.arange(dim, dtype=np.int64)
-    reps: list[int] = []
-    sizes: list[int] = []
-    scan_from = 0
-    while True:
-        unl = np.flatnonzero(labels[scan_from:] < 0)
-        if unl.size == 0:
-            break
-        start = scan_from + int(unl[0])
-        scan_from = start + 1
-        oid = len(reps)
-        labels[start] = oid
-        frontier = np.array([start], dtype=np.int64)
-        total = 1
-        while frontier.size:
-            digits = (frontier[:, None] // powers[None, :]) % r
-            images = [((digits @ M.T) % r) @ powers for M in gens]
-            keys = np.unique(np.concatenate(images))
-            fresh = keys[labels[keys] < 0]
-            labels[fresh] = oid
-            total += int(fresh.size)
-            frontier = fresh
-        reps.append(start)
-        sizes.append(total)
-    return labels, np.asarray(reps, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    perms = [np.empty(nvec, dtype=np.int32) for _ in gens]
+    for lo in range(0, nvec, SWEEP_CHUNK):
+        keys = np.arange(lo, min(lo + SWEEP_CHUNK, nvec), dtype=np.int64)
+        digits = (keys[:, None] // powers) % r
+        for perm, M in zip(perms, gens):
+            perm[lo : lo + keys.size] = ((digits @ M.T) % r) @ powers
+    least = orbit_labels(perms, nvec)
+    del perms  # the largest arrays of the sweep; free them before numbering
+    is_rep = least == np.arange(nvec, dtype=np.int32)
+    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+    reps = np.flatnonzero(is_rep)
+    return labels, reps, np.bincount(labels, minlength=reps.size)
 
 
 def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

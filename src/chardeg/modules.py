@@ -16,8 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from chardeg.fields import Field, field_make, field_from_json
-from chardeg.groups import CapExceeded, GroupTable, Subgroup, group_from_json, whole_group
-from chardeg.kernels import rref_prime
+from chardeg.groups import (
+    CapExceeded,
+    GroupTable,
+    Subgroup,
+    _power_index,
+    group_from_json,
+    whole_group,
+)
+from chardeg.kernels import orbit_labels, rref_prime
 from chardeg.linalg import (
     Subspace,
     identity_matrix,
@@ -35,6 +42,7 @@ CHOP_DIM_CAP = 512
 PERM_DOMAIN_CAP = 4096
 ALGEBRA_BUDGET = 200
 LINE_ENUM_LIMIT = 600
+FINGERPRINT_COUNT = 20
 
 
 class InconclusiveError(RuntimeError):
@@ -112,9 +120,9 @@ class GModule:
     def is_faithful(self) -> bool:
         return len(self.kernel_indices) == 1
 
-    def fingerprint(self, count: int = 20) -> tuple[int, ...]:
-        """Sorted traces of the images of the first `count` canonical elements."""
-        n = min(count, self.group.order)
+    def fingerprint(self) -> tuple[int, ...]:
+        """Sorted traces of the images of the first FINGERPRINT_COUNT canonical elements."""
+        n = min(FINGERPRINT_COUNT, self.group.order)
         return tuple(sorted(trace(self.field, self.image_of(i)) for i in range(n)))
 
     @cached_property
@@ -124,14 +132,7 @@ class GModule:
         Isomorphic modules agree here, so a mismatch is a cheap
         non-isomorphism certificate; equality still needs the hom solve.
         """
-        cls = self.group.conjugacy_classes
-        n_classes = int(cls.max()) + 1
-        reps = [-1] * n_classes
-        for i in range(self.group.order):
-            c = int(cls[i])
-            if reps[c] < 0:
-                reps[c] = i
-        return tuple(trace(self.field, self.image_of(rep)) for rep in reps)
+        return tuple(trace(self.field, self.image_of(int(rep))) for rep in self.group.class_reps)
 
     def to_json(self) -> dict:
         return {
@@ -316,12 +317,12 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
     return A
 
 
-def _kernel_lines(F: Field, ker: np.ndarray, limit: int = LINE_ENUM_LIMIT):
+def _kernel_lines(F: Field, ker: np.ndarray):
     """All projective lines of the row span of ker, or None if too many."""
     nullity = ker.shape[0]
     q = F.order
     n_lines = (q**nullity - 1) // (q - 1)
-    if n_lines > limit:
+    if n_lines > LINE_ENUM_LIMIT:
         return None
     lines = []
     for coeffs in itertools.product(range(q), repeat=nullity):
@@ -531,32 +532,23 @@ class Catalog:
 
 
 def irreducible_count(group: GroupTable, r: int) -> int:
-    """Number of irreducible F_r-modules: r-regular classes mod r-th powers."""
-    cls = group.conjugacy_classes
-    orders = group.element_orders
-    n_classes = int(cls.max()) + 1
-    reps = [-1] * n_classes
-    for i in range(group.order):
-        c = int(cls[i])
-        if reps[c] < 0:
-            reps[c] = i
-    regular = [c for c in range(n_classes) if int(orders[reps[c]]) % r != 0]
-    reg_set = set(regular)
-    from chardeg.groups import _power_index
+    """Number of irreducible F_r-modules: r-regular classes mod r-th powers.
 
-    step = {c: int(cls[_power_index(group, reps[c], r)]) for c in regular}
-    seen: set[int] = set()
-    orbits = 0
-    for c in regular:
-        if c in seen:
-            continue
-        orbits += 1
-        while c not in seen:
-            seen.add(c)
-            c = step[c]
-            if c not in reg_set:
-                raise RuntimeError("power map left the regular classes")
-    return orbits
+    The r-th power map permutes the r-regular classes; the count is the
+    number of its cycles.
+    """
+    cls = group.conjugacy_classes
+    reps = group.class_reps
+    regular = np.flatnonzero(group.element_orders[reps] % r != 0)
+    position = np.full(reps.size, -1, dtype=np.int64)
+    position[regular] = np.arange(regular.size)
+    step = position[cls[[_power_index(group, int(reps[c]), r) for c in regular]]]
+    if (step < 0).any():
+        raise RuntimeError("power map left the regular classes")
+    if (np.bincount(step, minlength=regular.size) != 1).any():
+        raise RuntimeError("power map is not a permutation of the regular classes")
+    least = orbit_labels([step], regular.size)
+    return int((least == np.arange(regular.size)).sum())
 
 
 def irreducible_catalog(

@@ -51,7 +51,7 @@ from chardeg.modules import (
     tensor,
 )
 from chardeg.numtheory import p_part, prime_divisors, prime_powers
-from chardeg.orbits import orbit_decompose, stabilizer, unpack_key
+from chardeg.orbits import covering_classify, orbit_decompose, stabilizer, unpack_key
 
 #: (q, char, dim_cap) of every catalog the harness builds
 CATALOG_SPECS = (
@@ -425,13 +425,6 @@ def check_orbit_sizes(h: Harness):
     return expected, observed
 
 
-def _covering_summary(module, r=None, s=None):
-    from chardeg.orbits import covering_classify
-
-    rep = covering_classify(module, r=r, s=s)
-    return rep
-
-
 def check_covering_classification(h: Harness):
     expected = {
         "sl2:5/3^4 s=3": "nonzero == plus",
@@ -445,23 +438,23 @@ def check_covering_classification(h: Harness):
     }
     observed = {}
     m54 = h.entry(5, 3, 4, faithful=True)[0].module
-    rep = _covering_summary(m54, s=3)
+    rep = covering_classify(m54, s=3)
     observed["sl2:5/3^4 s=3"] = (
         "nonzero == plus" if rep.summary["covers_nonzero"]["plus"] else rep.summary
     )
     m6 = h.entry(13, 3, 6, faithful=True)[0].module
-    rep = _covering_summary(m6, r=3)
+    rep = covering_classify(m6, r=3)
     observed["sl2:13/3^6 r=3"] = (
         "nonzero == minus" if rep.summary["covers_nonzero"]["minus"] else rep.summary
     )
     flags = []
     for e in h.entry(11, 3, 6, faithful=True):
-        rep = _covering_summary(e.module, r=5, s=3)
+        rep = covering_classify(e.module, r=5, s=3)
         counts = rep.summary["nonzero_counts"]
         flags.append(all(v > 0 for v in counts.values()))
     observed["sl2:11/3^6 all three nonempty"] = flags
     omega = h.entry(4, 2, 4, ell=1)[0].module
-    rep = _covering_summary(omega, r=3)
+    rep = covering_classify(omega, r=3)
     nz = [o for o in rep.orbits if o.rep_key != 0]
     observed["sl2:4 orthogonal module"] = {
         "covered by minus+char": rep.summary["covers_nonzero"].get("minus+char", False),

@@ -20,6 +20,7 @@ from chardeg.groups import (
     whole_group,
 )
 from chardeg.linalg import identity_matrix
+from chardeg.numtheory import p_part
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,7 @@ def test_center_and_simple_quotient_order(g7):
 # -- element-at-a-time oracles for the batched closure and queries -------------
 
 ORACLE_QS = (4, 5, 7, 8, 9, 16, 25, 27)
+SUPPORTED_QS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 
 
 def _mul_2x2(F, a, b):
@@ -259,6 +261,7 @@ def test_center_and_classes_match_mult_oracles(q):
                     stack.append(y)
         nxt += 1
     assert np.array_equal(g.conjugacy_classes, cls)
+    assert g.class_reps.tolist() == [int(np.flatnonzero(cls == c)[0]) for c in range(nxt)]
 
 
 @pytest.mark.parametrize("q,r", [(7, 3), (11, 5), (13, 3), (16, 3), (16, 5), (19, 3)])
@@ -278,3 +281,34 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
             for i, T in enumerate(sylows)
         )
         assert count_normalized_sylow(g, sub, t) == expected
+
+
+def _sylow_buckets_per_element(g):
+    """sylow_char_subgroups member lists, one fixed point at a time from
+    the eigenvector of each unipotent matrix, in scalar field arithmetic."""
+    F = g.field
+    t = F.p
+    orders = g.element_orders
+    buckets = {}
+    for i in range(g.order):
+        o = int(orders[i])
+        if o == 1 or p_part(o, t) != o:
+            continue
+        m = g.elems[i]
+        a = F.sub(int(m[0, 0]), 1)
+        b = int(m[0, 1])
+        c = int(m[1, 0])
+        d = F.sub(int(m[1, 1]), 1)
+        if a == 0 and b == 0:
+            vec = (F.neg(d), c) if (c or d) else (1, 0)
+        else:
+            vec = (F.neg(b), a)
+        point = (1, F.mul(F.inv(vec[0]), vec[1])) if vec[0] != 0 else (0, 1)
+        buckets.setdefault(point, []).append(i)
+    return [tuple(sorted([0] + buckets[point])) for point in sorted(buckets)]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_sylow_char_subgroups_match_per_element_buckets(q):
+    g = sl2_group(q)
+    assert [T.members for T in sylow_char_subgroups(g)] == _sylow_buckets_per_element(g)

@@ -3,11 +3,15 @@
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chardeg import kernels
 from chardeg.fields import field_make
+from chardeg.groups import sl2_group
 from chardeg.linalg import mat_inv
-from chardeg.modules import spin
+from chardeg.modules import perm_module, spin
 
 
 def _random_invertible(rng, F, n):
@@ -74,6 +78,56 @@ def _orbits_by_bfs(gens, r, dim):
     return by_key, reps, sizes
 
 
+def _orbit_sweep_per_orbit_bfs(gens, r, dim):
+    """orbit_sweep as one breadth-first search per orbit, each started at
+    the least unlabelled key (the orbit's minimal key)."""
+    nvec = r**dim
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    labels = np.full(nvec, -1, dtype=np.int32)
+    powers = r ** np.arange(dim, dtype=np.int64)
+    reps: list[int] = []
+    sizes: list[int] = []
+    scan_from = 0
+    while True:
+        unl = np.flatnonzero(labels[scan_from:] < 0)
+        if unl.size == 0:
+            break
+        start = scan_from + int(unl[0])
+        scan_from = start + 1
+        oid = len(reps)
+        labels[start] = oid
+        frontier = np.array([start], dtype=np.int64)
+        total = 1
+        while frontier.size:
+            digits = (frontier[:, None] // powers[None, :]) % r
+            images = [((digits @ M.T) % r) @ powers for M in gens]
+            keys = np.unique(np.concatenate(images))
+            fresh = keys[labels[keys] < 0]
+            labels[fresh] = oid
+            total += int(fresh.size)
+            frontier = fresh
+        reps.append(start)
+        sizes.append(total)
+    return labels, np.asarray(reps, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+
+
+def _union_find_least(perms, n):
+    """Least member of every orbit, by union-find with the least root kept."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for perm in perms:
+        for x, y in enumerate(perm):
+            a, b = find(x), find(int(y))
+            root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
 def _closure(p, seeds, mats):
     """Smallest set holding 0 and the seeds, closed under addition and v -> v M."""
     span = {tuple([0] * len(seeds[0]))}
@@ -134,6 +188,34 @@ def test_orbit_sweep_matches_set_bfs():
             assert labels.tolist() == labels_ref
             assert reps.tolist() == reps_ref
             assert sizes.tolist() == sizes_ref
+
+
+@pytest.mark.parametrize("q,r", [(13, 2), (9, 3)])
+def test_orbit_sweep_matches_per_orbit_bfs(q, r):
+    # projective-line modules: SL2(13) on F2^14 and SL2(9) on F3^10, both
+    # larger than one block of the permutation build
+    m = perm_module(sl2_group(q), "projective-points", r)
+    assert r**m.dim > kernels.SWEEP_CHUNK
+    gens = np.stack(m.gen_images)
+    got = kernels.orbit_sweep(gens, r, m.dim)
+    ref = _orbit_sweep_per_orbit_bfs(gens, r, m.dim)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))
+    )
+)
+@example((5, []))
+@example((0, []))
+def test_orbit_labels_match_union_find(case):
+    n, perms = case
+    got = kernels.orbit_labels([np.asarray(p, dtype=np.int64) for p in perms], n)
+    assert got.dtype == np.int32
+    assert got.tolist() == _union_find_least(perms, n)
 
 
 def test_orbit_sweep_partitions_space():

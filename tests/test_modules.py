@@ -26,6 +26,7 @@ from chardeg.modules import (
     trivial_module,
     validate_homomorphism,
 )
+from chardeg.verify import CATALOG_SPECS
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +220,27 @@ def test_irreducible_count_berman(g7, g5, g4):
     assert irreducible_count(g4, 2) == 3  # 1, 4, 4
     assert irreducible_count(g5, 3) == 5  # 1, 4, 4, 6, 6 over F_3 in some split
     assert irreducible_count(g4, 3) == 3
+
+
+# r-regular classes of SL2(q) up to r-th powers, one count per catalog the
+# acceptance harness builds, as the cycle walk over a `seen` set found them.
+CATALOG_SPEC_COUNTS = {
+    (4, 2): 3,
+    (4, 3): 3,
+    (5, 2): 3,
+    (5, 3): 5,
+    (7, 2): 4,
+    (9, 2): 4,
+    (9, 3): 6,
+    (11, 3): 9,
+    (13, 3): 9,
+}
+
+
+def test_irreducible_count_every_catalog_spec():
+    assert sorted(CATALOG_SPEC_COUNTS) == sorted((q, r) for q, r, _cap in CATALOG_SPECS)
+    for (q, r), count in CATALOG_SPEC_COUNTS.items():
+        assert irreducible_count(sl2_group(q), r) == count
 
 
 def test_catalog_small_group(g4):
