@@ -28,7 +28,7 @@ from chardeg.numtheory import (
     prime_power_split,
     prime_powers,
 )
-from chardeg.orbits import orbit_decompose, stabilizer
+from chardeg.orbits import orbit_decompose
 
 
 class ClassifyError(ValueError):
@@ -105,9 +105,8 @@ def semidirect_degrees(m: GModule) -> DegreeSet:
             continue
         if orb.stab_order == group.order:
             raise ClassifyError("module has nonzero fixed vectors; split analysis void")
-        stab = stabilizer(dm, orb.rep)
-        index = group.order // stab.order
-        for d, k in stabilizer_degree_multiplicities(stab).items():
+        index = group.order // orb.stab_order
+        for d, k in stabilizer_degree_multiplicities(orb.stab).items():
             mult[index * d] = mult.get(index * d, 0) + k
     ds = DegreeSet.from_multiplicities(mult)
     total = ds.sum_of_squares()

@@ -1,9 +1,12 @@
-"""Hot numeric kernels: orbit labelling and prime-field row reduction.
+"""Hot numeric kernels: orbit labelling, orbit stabilizers and prime-field row reduction.
 
-Both kernels are vectorized numpy.  orbit_labels is the one orbit engine
+All kernels are vectorized numpy.  orbit_labels is the one orbit engine
 of the package: vector orbits, conjugacy classes and power-map cycles are
-all labelled through it.  rref_prime is the one echelon engine: linalg.rref
-and the meataxe spin both reduce through it.
+all labelled through it.  orbit_sweep and orbit_stabilizers build int32
+key permutations from digit tables, and orbit_stabilizers reads every
+stabilizer off one walk of the group's BFS tree over them.  rref_prime is
+the one echelon engine: linalg.rref and the meataxe spin both reduce
+through it.
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -18,10 +21,14 @@ import numpy as np
 JIT_ENABLED = False
 
 
-# Keys per block when orbit_sweep builds the generator permutations: the
-# int64 digit matrix of one block is all the build holds besides the int32
-# permutations themselves.
+# Keys per block of the permutation build: a key splits into its low k
+# digits, r^k <= SWEEP_CHUNK, and its high digits, and the images of the
+# low digits are tabulated once per matrix.
 SWEEP_CHUNK = 1 << 12
+
+# Keys held by the stabilizer walk: a block of representatives is as many
+# as fit this many (element, representative) cells, whatever the group order.
+STAB_BLOCK_CELLS = 1 << 18
 
 
 def orbit_labels(perms, n: int) -> np.ndarray:
@@ -41,6 +48,45 @@ def orbit_labels(perms, n: int) -> np.ndarray:
             return label
 
 
+def _key_perms(gens: np.ndarray, r: int, dim: int) -> np.ndarray:
+    """One int32 key permutation per matrix: perms[j][key(v)] = key(M_j v).
+
+    A key is hi * r^k + lo, lo holding the low k digits.  Image digit i of
+    it is (A[lo, i] + B[hi, i]) mod r, where A and B are the low and high
+    digits times the matching columns of M.  With the table
+    T[i, s] = ((A[:, i] + s) mod r) * r^i, the r^k images of one high part
+    are the sum of dim rows of T, so no product runs over the whole space.
+    """
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    k = 0
+    while k < dim and r ** (k + 1) <= SWEEP_CHUNK:
+        k += 1
+    powers = r ** np.arange(dim, dtype=np.int64)
+    lo_digits = (np.arange(r**k, dtype=np.int64)[:, None] // powers[:k]) % r
+    hi_digits = (np.arange(r ** (dim - k), dtype=np.int64)[:, None] // powers[: dim - k]) % r
+    shifts = np.arange(r, dtype=np.int64)[:, None]
+    perms = np.empty((len(gens), r**dim), dtype=np.int32)
+    for perm, M in zip(perms, gens):
+        A = lo_digits @ M[:, :k].T
+        B = (hi_digits @ M[:, k:].T) % r
+        block = perm.reshape(B.shape[0], r**k)
+        for i in range(dim):
+            T = ((A[:, i] + shifts) % r * powers[i]).astype(np.int32)
+            if i:
+                block += T[B[:, i]]
+            else:
+                block[:] = T[B[:, i]]
+    return perms
+
+
+def _number_orbits(least: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, reps, sizes) from the least member of every point's orbit."""
+    is_rep = least == np.arange(least.size, dtype=np.int32)
+    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+    reps = np.flatnonzero(is_rep)
+    return labels, reps, np.bincount(labels, minlength=reps.size)
+
+
 def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full orbit decomposition of F_r^dim under the generator matrices.
 
@@ -49,21 +95,58 @@ def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndar
     orbit, ascending, and orbits are numbered in that order; sizes (int64)
     the orbit cardinalities.
     """
-    nvec = r**dim
-    gens = np.ascontiguousarray(gens, dtype=np.int64)
-    powers = r ** np.arange(dim, dtype=np.int64)
-    perms = [np.empty(nvec, dtype=np.int32) for _ in gens]
-    for lo in range(0, nvec, SWEEP_CHUNK):
-        keys = np.arange(lo, min(lo + SWEEP_CHUNK, nvec), dtype=np.int64)
-        digits = (keys[:, None] // powers) % r
-        for perm, M in zip(perms, gens):
-            perm[lo : lo + keys.size] = ((digits @ M.T) % r) @ powers
-    least = orbit_labels(perms, nvec)
+    perms = _key_perms(gens, r, dim)
+    least = orbit_labels(perms, r**dim)
     del perms  # the largest arrays of the sweep; free them before numbering
-    is_rep = least == np.arange(nvec, dtype=np.int32)
-    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
-    reps = np.flatnonzero(is_rep)
-    return labels, reps, np.bincount(labels, minlength=reps.size)
+    return _number_orbits(least)
+
+
+def orbit_stabilizers(
+    gens: np.ndarray, r: int, dim: int, parent: np.ndarray, parent_gen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Orbits of F_r^dim under a group, with the stabilizer of each representative.
+
+    gens are the images of the group's generators, and the group's BFS tree
+    has element i = elems[parent[i]] @ gens[parent_gen[i]].  Returns (reps,
+    sizes, members): reps and sizes as orbit_sweep gives them, and for every
+    representative v the ascending indices of the elements that fix it.
+
+    The key permutations are inverted in place, so perms[j] maps key(v) to
+    key(gens[j]^-1 v); they have the same orbits.  The walk
+    K[i] = perms[parent_gen[i]][K[parent[i]]], one BFS level at a time over a
+    block of representatives, gives the key of g_i^-1 v, and g_i fixes v
+    exactly when K[i] == v.
+    """
+    nvec = r**dim
+    perms = _key_perms(gens, r, dim)
+    points = np.arange(nvec, dtype=np.int32)
+    for perm in perms:
+        perm[perm.copy()] = points
+    del points
+    reps, sizes = _number_orbits(orbit_labels(perms, nvec))[1:]
+    n = parent.size
+    flat = perms.reshape(-1)
+    offset = parent_gen.astype(np.int64) * nvec
+    # parent is nondecreasing and parent[i] < i, so the elements whose
+    # parents are all below lo form one BFS level [lo, hi)
+    levels = []
+    lo = 1
+    while lo < n:
+        hi = int(np.searchsorted(parent, lo))
+        levels.append((lo, hi, parent[lo:hi], offset[lo:hi, None]))
+        lo = hi
+    block = max(1, STAB_BLOCK_CELLS // n)
+    members: list[np.ndarray] = []
+    K = np.empty((n, min(block, reps.size)), dtype=np.int32)
+    for start in range(0, reps.size, block):
+        vs = reps[start : start + block].astype(np.int32)
+        keys = K[:, : vs.size]
+        keys[0] = vs
+        for lo, hi, par, off in levels:
+            keys[lo:hi] = flat[off + keys[par]]
+        which, elems = np.nonzero((keys == vs).T)
+        members.extend(np.split(elems, np.cumsum(np.bincount(which, minlength=vs.size))[:-1]))
+    return reps, sizes, members
 
 
 def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ import numpy as np
 from chardeg.fields import Field, field_make, field_from_json
 from chardeg.groups import (
     CapExceeded,
+    GroupError,
     GroupTable,
     Subgroup,
     _power_index,
@@ -544,9 +545,9 @@ def irreducible_count(group: GroupTable, r: int) -> int:
     position[regular] = np.arange(regular.size)
     step = position[cls[[_power_index(group, int(reps[c]), r) for c in regular]]]
     if (step < 0).any():
-        raise RuntimeError("power map left the regular classes")
+        raise GroupError("power map left the regular classes")
     if (np.bincount(step, minlength=regular.size) != 1).any():
-        raise RuntimeError("power map is not a permutation of the regular classes")
+        raise GroupError("power map is not a permutation of the regular classes")
     least = orbit_labels([step], regular.size)
     return int((least == np.arange(regular.size)).sum())
 

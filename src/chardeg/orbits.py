@@ -1,20 +1,21 @@
 """Orbit decomposition and normal-Sylow covering classification.
 
 Vectors of a module over a prime field are packed into integers base r
-(digit 0 least significant).  The sweep kernel labels every vector; all
-per-orbit data (stabilizers, covering flags) is computed once on the
-minimal-key representative and propagated, since the defining conditions
-are conjugation-invariant.
+(digit 0 least significant).  One set of key permutations labels every
+vector and walks the group's BFS tree for the stabilizers; all per-orbit
+data (stabilizers, covering flags) is computed once on the minimal-key
+representative and propagated, since the defining conditions are
+conjugation-invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from chardeg.kernels import orbit_sweep
-from chardeg.groups import CapExceeded, Subgroup, contains_normal_full_sylow
+from chardeg.kernels import orbit_stabilizers
+from chardeg.groups import CapExceeded, GroupError, Subgroup, contains_normal_full_sylow
 from chardeg.modules import GModule, ModuleError
 
 ORBIT_SPACE_CAP = 3**12
@@ -27,6 +28,7 @@ class Orbit:
     size: int
     stab_order: int
     flags: dict
+    stab: Subgroup = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -90,22 +92,22 @@ def orbit_decompose(m: GModule) -> OrbitReport:
 def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
     _check_orbit_module(m)
     r = m.field.p
-    gens = np.stack(m.gen_images)
-    labels, reps, sizes = orbit_sweep(gens, r, m.dim)
     group = m.group
+    gens = np.stack(m.gen_images)
+    reps, sizes, members = orbit_stabilizers(gens, r, m.dim, group.parent, group.parent_gen)
     orbits = []
     nonzero_counts = {name: 0 for name in sylow_primes}
-    for oid, (rep_key, size) in enumerate(zip(reps.tolist(), sizes.tolist())):
+    for rep_key, size, mem in zip(reps.tolist(), sizes.tolist(), members):
         vec = unpack_key(rep_key, r, m.dim)
-        stab = stabilizer(m, vec)
+        stab = Subgroup(group, tuple(mem.tolist()))
         if stab.order * size != group.order:
-            raise RuntimeError("orbit-stabilizer identity failed")
+            raise GroupError("orbit-stabilizer identity failed")
         flags = {}
         for name, prime in sylow_primes.items():
             flags[name] = contains_normal_full_sylow(group, stab, prime)
             if flags[name] and rep_key != 0:
                 nonzero_counts[name] += size
-        orbits.append(Orbit(rep_key, vec, size, stab.order, flags))
+        orbits.append(Orbit(rep_key, vec, size, stab.order, flags, stab))
     summary: dict = {"orbit_count": len(orbits), "sizes": sorted(s for s in sizes.tolist())}
     if sylow_primes:
         total_nonzero = r**m.dim - 1

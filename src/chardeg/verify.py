@@ -34,6 +34,7 @@ from chardeg.graphs import (
 from chardeg.groups import (
     BudgetExceeded,
     CapExceeded,
+    GroupError,
     contains_normal_full_sylow,
     count_normalized_sylow,
     sl2_group,
@@ -507,8 +508,7 @@ def _nq_condition(h: Harness, g, m, u: int) -> bool:
     for orb in rep.orbits:
         if orb.rep_key == 0:
             continue
-        stab = stabilizer(m, orb.rep)
-        if not contains_normal_full_sylow(g, stab, u):
+        if not contains_normal_full_sylow(g, orb.stab, u):
             return False
     return True
 
@@ -700,7 +700,7 @@ CHECKS = (
 SUITES = ("graphs", "groups", "modules", "orbits", "ledgers", "all")
 
 #: errors that end one check as status "error" while the run goes on
-CHECK_ERRORS = (CapExceeded, BudgetExceeded, ClassifyError, LookupError)
+CHECK_ERRORS = (CapExceeded, BudgetExceeded, ClassifyError, GroupError, LookupError)
 
 
 def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:

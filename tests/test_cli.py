@@ -126,6 +126,33 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
 
 
+def test_verify_isolates_a_failed_orbit_stabilizer_identity(monkeypatch, tmp_path):
+    import chardeg.orbits as orbits
+    import chardeg.verify as verify
+    from chardeg.kernels import orbit_stabilizers
+
+    def dropping(*args):
+        # the zero vector's stabilizer loses one member
+        reps, sizes, members = orbit_stabilizers(*args)
+        return reps, sizes, [members[0][:-1], *members[1:]]
+
+    def passing(h):
+        return 1, 1
+
+    monkeypatch.setattr(orbits, "orbit_stabilizers", dropping)
+    monkeypatch.setattr(
+        verify, "CHECKS", (("orbit-sizes", "orbits", verify.check_orbit_sizes), ("z-passes", "orbits", passing))
+    )
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "orbits", "--out", str(out_file)]) == 1
+    report = json.loads(out_file.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["orbit-sizes"]["status"] == "error"
+    assert by_name["orbit-sizes"]["observed"] == "GroupError: orbit-stabilizer identity failed"
+    assert by_name["z-passes"]["status"] == "pass"
+    assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"q": 9, "family": "psl2"}))

@@ -78,6 +78,29 @@ def _orbits_by_bfs(gens, r, dim):
     return by_key, reps, sizes
 
 
+def _key_perms_by_digit_products(gens, r, dim):
+    """The key permutations as int64 digit-matrix products, SWEEP_CHUNK keys
+    at a time: the image of every key is ((digits @ M.T) % r) @ powers."""
+    nvec = r**dim
+    gens = np.ascontiguousarray(gens, dtype=np.int64)
+    powers = r ** np.arange(dim, dtype=np.int64)
+    perms = [np.empty(nvec, dtype=np.int32) for _ in gens]
+    for lo in range(0, nvec, kernels.SWEEP_CHUNK):
+        keys = np.arange(lo, min(lo + kernels.SWEEP_CHUNK, nvec), dtype=np.int64)
+        digits = (keys[:, None] // powers) % r
+        for perm, M in zip(perms, gens):
+            perm[lo : lo + keys.size] = ((digits @ M.T) % r) @ powers
+    return perms
+
+
+def _assert_key_perms_match(gens, r, dim):
+    got = kernels._key_perms(gens, r, dim)
+    assert got.dtype == np.int32
+    assert got.shape == (len(gens), r**dim)
+    for a, b in zip(got, _key_perms_by_digit_products(gens, r, dim)):
+        assert np.array_equal(a, b)
+
+
 def _orbit_sweep_per_orbit_bfs(gens, r, dim):
     """orbit_sweep as one breadth-first search per orbit, each started at
     the least unlabelled key (the orbit's minimal key)."""
@@ -216,6 +239,49 @@ def test_orbit_labels_match_union_find(case):
     got = kernels.orbit_labels([np.asarray(p, dtype=np.int64) for p in perms], n)
     assert got.dtype == np.int32
     assert got.tolist() == _union_find_least(perms, n)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_key_perms_match_digit_products(r):
+    rng = np.random.default_rng(r)
+    k = int(np.floor(np.log(kernels.SWEEP_CHUNK) / np.log(r) + 1e-9))
+    assert r**k <= kernels.SWEEP_CHUNK < r ** (k + 1)
+    # a space smaller than one block of r^k keys, then spaces with one and
+    # two high digits; for r > 2 their sizes are not multiples of SWEEP_CHUNK
+    for dim in (k - 1, k + 1, k + 2):
+        _assert_key_perms_match(rng.integers(0, r, size=(2, dim, dim)), r, dim)
+
+
+def test_key_perms_match_digit_products_on_3_12():
+    m = perm_module(sl2_group(11), "projective-points", 3)
+    # conjugating by D = diag(1, 2, 1, 2, ...) = D^-1 puts 2s in the matrices,
+    # so image digits wrap mod 3
+    d = np.where(np.arange(m.dim) % 2, 2, 1)
+    gens = np.stack([g * d[:, None] * d[None, :] % 3 for g in m.gen_images])
+    _assert_key_perms_match(gens, 3, m.dim)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.integers(1, {2: 13, 3: 8, 5: 6, 7: 5}[r]).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.lists(st.integers(0, r - 1), min_size=d, max_size=d), min_size=d, max_size=d),
+                    min_size=1,
+                    max_size=3,
+                )
+            ),
+        )
+    )
+)
+@example((3, [[[0, 0], [0, 0]]]))
+@example((2, [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]]))
+def test_key_perms_match_digit_products_random(case):
+    # singular matrices included: the "permutations" need not be bijective
+    r, mats = case
+    gens = np.asarray(mats, dtype=np.int64)
+    _assert_key_perms_match(gens, r, gens.shape[1])
 
 
 def test_orbit_sweep_partitions_space():

@@ -243,6 +243,19 @@ def test_irreducible_count_every_catalog_spec():
         assert irreducible_count(sl2_group(q), r) == count
 
 
+def test_irreducible_count_broken_power_map_is_a_group_error(g5, monkeypatch):
+    import chardeg.modules as modules
+    from chardeg.groups import GroupError
+
+    involution = int(np.flatnonzero(g5.element_orders == 2)[0])
+    monkeypatch.setattr(modules, "_power_index", lambda group, x, n: involution)
+    with pytest.raises(GroupError, match="left the regular classes"):
+        irreducible_count(g5, 2)
+    monkeypatch.setattr(modules, "_power_index", lambda group, x, n: 0)
+    with pytest.raises(GroupError, match="not a permutation"):
+        irreducible_count(g5, 3)
+
+
 def test_catalog_small_group(g4):
     cat = irreducible_catalog(g4, 2, 8)
     assert cat.complete

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chardeg.groups import sl2_group
+from chardeg import kernels
+from chardeg.groups import sl2_group, whole_group
 from chardeg.modules import (
+    GModule,
+    dual,
     irreducible_catalog,
     natural_restricted,
     perm_module,
@@ -157,3 +162,70 @@ def test_perm_module_orbits_match_action(g5):
     rep = orbit_decompose(m)
     # the permutation module has basis-vector orbits of length 6 (transitive)
     assert 6 in rep.sizes()
+
+
+def _monomial_p11():
+    """SL2(11) on F3^12 in the basis f_j = s_j e_perm(j); s_j in {1, 2} is
+    its own inverse mod 3."""
+    rng = np.random.default_rng(12)
+    m = perm_module(sl2_group(11), "projective-points", 3)
+    perm, s = rng.permutation(12), rng.integers(1, 3, 12)
+    images = [(s[:, None] * g[np.ix_(perm, perm)] * s[None, :]) % 3 for g in m.gen_images]
+    return GModule(m.group, m.field, images, check=False)
+
+
+STABILIZER_ORACLE_MODULES = {
+    "sl2:11 on F3^12, monomial": _monomial_p11,
+    "sl2:13 on F2^14": lambda: perm_module(sl2_group(13), "projective-points", 2),
+    "dual natural q=16": lambda: dual(natural_restricted(16)),
+    "dual natural q=25": lambda: dual(natural_restricted(25)),
+    "dual natural q=27": lambda: dual(natural_restricted(27)),
+    "sl2:5 trivial": lambda: trivial_module(sl2_group(5), 3),
+}
+
+
+@pytest.mark.parametrize("label", list(STABILIZER_ORACLE_MODULES))
+def test_orbit_stabilizers_match_image_table(label):
+    """The tree-walk stabilizers against the image-table fixed-point test."""
+    m = STABILIZER_ORACLE_MODULES[label]()
+    group = m.group
+    gens = np.stack(m.gen_images)
+    reps, sizes, members = kernels.orbit_stabilizers(gens, m.field.p, m.dim, group.parent, group.parent_gen)
+    _labels, reps_ref, sizes_ref = kernels.orbit_sweep(gens, m.field.p, m.dim)
+    assert reps.dtype == reps_ref.dtype and np.array_equal(reps, reps_ref)
+    assert sizes.dtype == sizes_ref.dtype and np.array_equal(sizes, sizes_ref)
+    assert len(members) == reps.size
+    if label.startswith("sl2:11"):
+        # more representatives than one block of the walk, and a kernel {+-1}
+        assert reps.size > kernels.STAB_BLOCK_CELLS // group.order
+        assert len(m.kernel_indices) == 2
+    report = orbit_decompose(m)
+    for key, mem, orb in zip(reps.tolist(), members, report.orbits):
+        ref = stabilizer(m, unpack_key(key, m.field.p, m.dim)).members
+        assert tuple(mem.tolist()) == ref
+        assert orb.stab.members == ref and orb.stab_order == len(ref)
+
+
+def test_orbit_stabilizer_stays_out_of_json_repr_and_equality(g5):
+    orb = orbit_decompose(natural_restricted(5, g5)).orbits[1]
+    assert orb.stab.order == orb.stab_order == 5
+    assert "stab" not in orb.to_json() and "stab=" not in repr(orb)
+    assert orb == dataclasses.replace(orb, stab=whole_group(g5))
+
+
+def test_semidirect_and_sylow_condition_reuse_orbit_stabilizers(monkeypatch):
+    """semidirect_degrees and the Sylow condition read Orbit.stab; the
+    image-table stabilizer is not called again."""
+    import chardeg.classify as classify
+    import chardeg.orbits as orbits
+    import chardeg.verify as verify
+
+    def refuse(*args):
+        raise AssertionError("stabilizer recomputed")
+
+    for mod in (classify, orbits, verify):
+        monkeypatch.setattr(mod, "stabilizer", refuse, raising=False)
+    assert classify.semidirect_degrees(natural_restricted(8)).degrees
+    h = verify.Harness(seed=42)
+    g4 = h.group(4)
+    assert verify._nq_condition(h, g4, natural_restricted(4, g4), 2)
