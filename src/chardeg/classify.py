@@ -2,14 +2,22 @@
 cut-vertex graphs, the two-component criterion, the three-vertex scan,
 primitive prime divisors, and the exact inequality ledgers.
 
+The degrees of split extensions read the stabilizer degrees, which are
+computed exactly by Dixon's class-matrix method over F_p, with no table.
+
 All scans run on exact integers; inequalities with half-integer
 exponents are decided by comparing squares, never by floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 
+import numpy as np
+
+from chardeg.fields import field_make
 from chardeg.graphs import (
     DegreeSet,
     GraphAnalysis,
@@ -19,10 +27,13 @@ from chardeg.graphs import (
     graph_from_degrees,
     graph_from_edges,
 )
-from chardeg.groups import Subgroup, is_abelian, stabilizer_structure
+from chardeg.groups import Subgroup, _batch_mul
+from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
+from chardeg.linalg import nullspace
 from chardeg.modules import GModule, dual
 from chardeg.numtheory import (
     factorize,
+    is_prime,
     multiplicative_order,
     prime_divisors,
     prime_power_split,
@@ -35,53 +46,68 @@ class ClassifyError(ValueError):
     pass
 
 
-# -- character degrees of small stabilizer groups -------------------------------
-
-#: element-order multiset -> degree multiplicities, for the non-abelian
-#: groups that occur as vector stabilizers at this scale
-_STAB_TABLE = {
-    (6, ((1, 1), (2, 3), (3, 2))): {1: 2, 2: 1},  # S3
-    (12, ((1, 1), (2, 3), (3, 8))): {1: 3, 3: 1},  # A4
-    (24, ((1, 1), (2, 9), (3, 8), (4, 6))): {1: 2, 2: 1, 3: 2},  # S4
-    (60, ((1, 1), (2, 15), (3, 20), (5, 24))): {1: 1, 3: 2, 4: 1, 5: 1},  # A5
-}
-
-
-def _frobenius_degrees(kernel_order: int, complement_order: int) -> dict[int, int]:
-    return {1: complement_order, complement_order: (kernel_order - 1) // complement_order}
+# -- character degrees of stabilizer subgroups ----------------------------------
 
 
 def stabilizer_degree_multiplicities(sub: Subgroup) -> dict[int, int]:
-    """Degree multiplicities of a stabilizer subgroup.
+    """Irreducible character degrees of a subgroup, with multiplicities.
 
-    Abelian stabilizers are all linear.  Non-abelian ones are matched
-    against the small table of groups that actually arise (symmetric and
-    alternating groups, Frobenius groups of shape q:(q-1)/2), and the
-    match is validated by the sum-of-squares identity.
+    Dixon's method (Numer. Math. 10, 1967, as revisited by Schneider,
+    J. Symbolic Comput. 9, 1990).  With K_i K_j = sum_k a[i, j, k] K_k for
+    the class sums, the central character vectors w(C) = |C| chi(g_C) / chi(1)
+    are the common eigenvectors of the class matrices a[i].  Over F_p with
+    p = 1 mod exp(H) and p > |H| they are found by splitting F_p^r into
+    eigenspaces, and chi(1)^2 = |H| / sum_C w(C) w(C^-1) / |C| mod p.  The
+    result is certified: r one-dimensional spaces for r classes, every
+    chi(1)^2 a square, and the squares summing to |H|.
     """
-    if is_abelian(sub):
-        return {1: sub.order}
-    sig = stabilizer_structure(sub)
-    if sig in _STAB_TABLE:
-        mult = dict(_STAB_TABLE[sig])
-    else:
-        mult = _match_frobenius(sub, sig)
-    if sum(m * d * d for d, m in mult.items()) != sub.order:
-        raise ClassifyError(f"degree table mismatch for stabilizer of order {sub.order}")
-    return mult
-
-
-def _match_frobenius(sub: Subgroup, sig) -> dict[int, int]:
-    order = sub.order
-    q = sub.parent.field.order
-    t = sub.parent.field.p
-    comp = (q - 1) // 2
-    if comp > 1 and order == q * comp:
-        # kernel = the q unipotent-order elements, complement cyclic
-        n_t = sum(cnt for o, cnt in sig[1] if o % t == 0 or o == 1)
-        if n_t == q:
-            return _frobenius_degrees(q, comp)
-    raise ClassifyError(f"stabilizer of order {order} is outside the built-in table")
+    group, members = sub.parent, np.asarray(sub.members)
+    n = members.size
+    mats = group.elems[members]
+    prods = _batch_mul(group.field, mats[:, None], mats[None]).reshape(-1, 2, 2)
+    # table[x, y] is the position of h_x h_y and left_inv[x, y] that of
+    # h_x^-1 h_y; the identity is member 0
+    table = np.searchsorted(members, group.indices_of_matrices(prods)).reshape(n, n)
+    left_inv = table[(table == 0).argmax(axis=1)]
+    cls, reps, sizes = _number_orbits(orbit_labels(table[left_inv, np.arange(n)[:, None]], n))
+    r = reps.size
+    if r == n:
+        return {1: n}
+    a = np.zeros((r, r, r), dtype=np.int64)
+    np.add.at(a, (cls[:, None], cls[left_inv[:, reps]], np.arange(r)), 1)
+    e = int(np.lcm.reduce(group.element_orders[members]))
+    p = e + 1
+    while p <= n or not is_prime(p):
+        p += e
+    F = field_make(p)
+    spaces = [np.eye(r, dtype=np.int64)]
+    for M in a[1:]:
+        split = [B for B in spaces if len(B) == 1]
+        for B in (B for B in spaces if len(B) > 1):
+            eye = np.eye(len(B), dtype=np.int64)
+            C = (B @ M.T % p)[:, (B != 0).argmax(axis=1)]  # B M^T = C B
+            powers = [eye]
+            for _ in range(len(B)):
+                powers.append(powers[-1] @ C % p)
+            # C^deg is the first power of C that depends on the ones below it
+            R, piv = rref_prime(np.stack(powers).reshape(len(powers), -1).T, p)
+            value = np.ones(p, dtype=np.int64)
+            for c in R[: piv.size, piv.size][::-1]:
+                value = (value * np.arange(p) - c) % p
+            for lam in np.flatnonzero(value == 0):
+                split.append(nullspace(F, (C.T - lam * eye) % p) @ B % p)
+        spaces = split
+    if len(spaces) != r:
+        raise ClassifyError(f"the class matrices of a subgroup of order {n} do not split mod {p}")
+    W = np.concatenate(spaces)
+    W = W * np.asarray([pow(int(w), p - 2, p) for w in W[:, 0]])[:, None] % p
+    inv_sizes = np.asarray([pow(int(s), p - 2, p) for s in sizes], dtype=np.int64)
+    norms = (W * W[:, cls[left_inv[reps, 0]]] % p * inv_sizes % p).sum(axis=1) % p
+    squares = [n * pow(int(t), p - 2, p) % p for t in norms]
+    degrees = [isqrt(s) for s in squares]
+    if any(d < 1 or d * d != s for d, s in zip(degrees, squares)) or sum(squares) != n:
+        raise ClassifyError(f"no certified character degrees for a subgroup of order {n}")
+    return dict(sorted(Counter(degrees).items()))
 
 
 def semidirect_degrees(m: GModule) -> DegreeSet:
@@ -95,12 +121,8 @@ def semidirect_degrees(m: GModule) -> DegreeSet:
     squares is not the order of the extension.
     """
     group = m.group
-    q = group.field.order
-    base = degree_set("sl2", q)
-    dm = dual(m)
-    report = orbit_decompose(dm)
-    mult: dict[int, int] = dict(base.multiplicities)
-    for orb in report.orbits:
+    mult: dict[int, int] = dict(degree_set("sl2", group.field.order).multiplicities)
+    for orb in orbit_decompose(dual(m)).orbits:
         if orb.rep_key == 0:
             continue
         if orb.stab_order == group.order:

@@ -461,26 +461,14 @@ def contains_normal_full_sylow(group: GroupTable, sub: Subgroup, r: int) -> bool
     hence normal, Sylow r-subgroup of sub, of full order).
     """
     full = p_part(group.order, r)
-    if full == 1:
-        return True
     if sub.order % full != 0:
         return False
-    orders = group.element_orders
-    relems = [m for m in sub.members if full % int(orders[m]) == 0]
-    if len(relems) != full:
+    members = np.asarray(sub.members)
+    rmats = group.elems[members[full % group.element_orders[members] == 0]]
+    if rmats.shape[0] != full:
         return False
-    rset = set(relems)
-    return all(group.mult(x, y) in rset for x in relems for y in relems)
-
-
-def stabilizer_structure(sub: Subgroup) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(order, element-order multiset) fingerprint for table matching."""
-    orders = sub.parent.element_orders
-    counts: dict[int, int] = {}
-    for m in sub.members:
-        o = int(orders[m])
-        counts[o] = counts.get(o, 0) + 1
-    return sub.order, tuple(sorted(counts.items()))
+    prods = _batch_mul(group.field, rmats[:, None], rmats[None])
+    return bool(np.isin(group._keys(prods), group._keys(rmats)).all())
 
 
 def center(group: GroupTable) -> Subgroup:

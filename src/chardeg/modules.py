@@ -44,6 +44,8 @@ PERM_DOMAIN_CAP = 4096
 ALGEBRA_BUDGET = 200
 LINE_ENUM_LIMIT = 600
 FINGERPRINT_COUNT = 20
+TENSOR_WORK_CAP = 256
+CATALOG_ROUNDS = 8
 
 
 class InconclusiveError(RuntimeError):
@@ -338,7 +340,7 @@ def _kernel_lines(F: Field, ker: np.ndarray):
     return lines
 
 
-def _meataxe_step(m: GModule, rng, budget: int = ALGEBRA_BUDGET):
+def _meataxe_step(m: GModule, rng):
     """One irreducibility decision: ('irr', None) or ('sub', basis rows)."""
     F, d = m.field, m.dim
     act = [g.T.copy() for g in m.gen_images]  # row action for module submodules
@@ -350,7 +352,7 @@ def _meataxe_step(m: GModule, rng, budget: int = ALGEBRA_BUDGET):
     W0 = spin(F, [e0], act, d)
     if W0.shape[0] < d:
         return "sub", W0
-    for _ in range(budget):
+    for _ in range(ALGEBRA_BUDGET):
         A = _random_algebra_element(rng, F, m.gen_images)
         ker = nullspace(F, A)
         nullity = ker.shape[0]
@@ -369,7 +371,9 @@ def _meataxe_step(m: GModule, rng, budget: int = ALGEBRA_BUDGET):
         if Wt.shape[0] < d:
             return "sub", nullspace(F, Wt)
         return "irr", None
-    raise InconclusiveError(f"no decision for a {d}-dimensional module within {budget} tries")
+    raise InconclusiveError(
+        f"no decision for a {d}-dimensional module within {ALGEBRA_BUDGET} tries"
+    )
 
 
 def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
@@ -557,13 +561,11 @@ def irreducible_catalog(
     r: int,
     dim_cap: int,
     seed: int = 42,
-    work_cap: int = 256,
-    max_rounds: int = 8,
 ) -> Catalog:
     """All irreducibles over F_r up to dim_cap, from permutation seeds.
 
     Seed modules are chopped, then the found set is closed under dual and
-    pairwise tensor (tensor inputs limited to product dimension work_cap;
+    pairwise tensor (tensor inputs limited to product dimension TENSOR_WORK_CAP;
     the cap on reported entries is dim_cap).  The search stops as soon as
     the abstract irreducible count is reached, which certifies
     completeness.
@@ -594,7 +596,7 @@ def irreducible_catalog(
 
     tensored: set[tuple[int, int]] = set()
     dualed: set[int] = set()
-    for _ in range(max_rounds):
+    for _ in range(CATALOG_ROUNDS):
         progress = False
         for mod in pending:
             for factor in chop(mod, seed=seed):
@@ -613,7 +615,7 @@ def irreducible_catalog(
         candidates = []
         for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):
             da, db = found[ai].dim, found[bi].dim
-            if (ai, bi) in tensored or da == 1 or db == 1 or da * db > work_cap:
+            if (ai, bi) in tensored or da == 1 or db == 1 or da * db > TENSOR_WORK_CAP:
                 continue
             candidates.append((da * db, ai, bi))
         candidates.sort()

@@ -56,11 +56,6 @@ class OrbitReport:
         }
 
 
-def _check_orbit_module(m: GModule) -> None:
-    if m.field.p**m.dim > ORBIT_SPACE_CAP:
-        raise CapExceeded(f"vector space of order {m.field.p}**{m.dim} exceeds {ORBIT_SPACE_CAP}")
-
-
 def unpack_key(key: int, r: int, dim: int) -> tuple[int, ...]:
     out = []
     for _ in range(dim):
@@ -90,8 +85,9 @@ def orbit_decompose(m: GModule) -> OrbitReport:
 
 
 def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
-    _check_orbit_module(m)
     r = m.field.p
+    if r**m.dim > ORBIT_SPACE_CAP:
+        raise CapExceeded(f"vector space of order {r}**{m.dim} exceeds {ORBIT_SPACE_CAP}")
     group = m.group
     gens = np.stack(m.gen_images)
     reps, sizes, members = orbit_stabilizers(gens, r, m.dim, group.parent, group.parent_gen)
@@ -154,16 +150,16 @@ def covering_classify(m: GModule, r: int | None = None, s: int | None = None) ->
     return _decompose(m, primes)
 
 
-def sylow_centralizer_condition(m: GModule, q: int) -> bool:
-    """True iff q divides the index of the action kernel and every
-    nonzero vector's stabilizer contains a normal full Sylow q-subgroup."""
-    _check_orbit_module(m)
-    group = m.group
-    kernel_order = len(m.kernel_indices)
-    if (group.order // kernel_order) % q != 0:
+def sylow_centralizer_condition(report: OrbitReport, q: int) -> bool:
+    """True iff q divides the index of the action kernel of the report's
+    module and every nonzero vector's stabilizer contains a normal full
+    Sylow q-subgroup."""
+    m = report.module
+    if (m.group.order // len(m.kernel_indices)) % q != 0:
         return False
-    report = _decompose(m, {"q": q})
-    return all(o.flags["q"] for o in report.orbits if o.rep_key != 0)
+    return all(
+        contains_normal_full_sylow(m.group, o.stab, q) for o in report.orbits if o.rep_key != 0
+    )
 
 
 def stabilizer_prime_escape(m: GModule, r: int) -> bool:

@@ -35,7 +35,6 @@ from chardeg.groups import (
     BudgetExceeded,
     CapExceeded,
     GroupError,
-    contains_normal_full_sylow,
     count_normalized_sylow,
     sl2_group,
     subgroup_from_gens,
@@ -52,7 +51,13 @@ from chardeg.modules import (
     tensor,
 )
 from chardeg.numtheory import p_part, prime_divisors, prime_powers
-from chardeg.orbits import covering_classify, orbit_decompose, stabilizer, unpack_key
+from chardeg.orbits import (
+    covering_classify,
+    orbit_decompose,
+    stabilizer,
+    sylow_centralizer_condition,
+    unpack_key,
+)
 
 #: (q, char, dim_cap) of every catalog the harness builds
 CATALOG_SPECS = (
@@ -475,9 +480,7 @@ def check_sylow_centralizer_condition(h: Harness):
     natural module.
     """
     naturals = {q: natural_restricted(q, h.group(q)) for q in (4, 5, 7, 9, 11, 13)}
-    mods = []
-    for q, label, entry in h.sweep_modules():
-        mods.append((q, label, entry.module, entry.faithful, entry.ell))
+    mods = [(q, label, e.module, e.faithful, e.ell) for q, label, e in h.sweep_modules()]
     for q, m in naturals.items():
         mods.append((q, f"sl2:{q}/natural", m, m.is_faithful, None))
     mismatches = []
@@ -494,23 +497,11 @@ def check_sylow_centralizer_condition(h: Harness):
                 or (q == 5 and r == 2 and m.dim == 4 and ell == 2 and u == 2)
             )
             expected_val = natural_case or exceptional
-            got = _nq_condition(h, g, m, u)
+            got = sylow_centralizer_condition(h.orbit_report(m), u)
             n += 1
             if got != expected_val:
                 mismatches.append([label, u, got])
     return {"checked": n, "mismatches": []}, {"checked": n, "mismatches": mismatches}
-
-
-def _nq_condition(h: Harness, g, m, u: int) -> bool:
-    if (g.order // len(m.kernel_indices)) % u != 0:
-        return False
-    rep = h.orbit_report(m)
-    for orb in rep.orbits:
-        if orb.rep_key == 0:
-            continue
-        if not contains_normal_full_sylow(g, orb.stab, u):
-            return False
-    return True
 
 
 def check_orbit_stabilizer_properties(h: Harness):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 from mpmath import mp
+
+from chardeg import verify
 
 from chardeg.classify import (
     CASE_SIX_DIM,
@@ -15,9 +19,10 @@ from chardeg.classify import (
     two_component_check,
 )
 from chardeg.graphs import analyze, degree_set, graph_from_degrees
-from chardeg.groups import sl2_group, subgroup_from_gens
-from chardeg.modules import irreducible_catalog, natural_restricted
+from chardeg.groups import sl2_group, subgroup_from_gens, whole_group
+from chardeg.modules import dual, irreducible_catalog, natural_restricted
 from chardeg.numtheory import prime_divisors, prime_power_split, prime_powers
+from chardeg.orbits import orbit_decompose
 
 mp.dps = 80
 
@@ -142,7 +147,7 @@ def test_stabilizer_degree_table():
     g4 = sl2_group(4)
     cat = irreducible_catalog(g4, 2, 8)
     omega = cat.select(dim=4, ell=1)[0].module
-    from chardeg.orbits import orbit_decompose, stabilizer
+    from chardeg.orbits import stabilizer
 
     rep = orbit_decompose(omega)
     seen = {}
@@ -173,6 +178,103 @@ def test_stabilizer_degree_frobenius():
     mult = stabilizer_degree_multiplicities(frob)
     assert mult == {1: 3, 3: 2}
     assert sum(m * d * d for d, m in mult.items()) == 21
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_stabilizer_degrees_of_whole_sl2_match_the_degree_table(q):
+    got = stabilizer_degree_multiplicities(whole_group(sl2_group(q)))
+    assert got == dict(degree_set("sl2", q).multiplicities)
+
+
+@pytest.fixture(scope="module")
+def small_sweep():
+    """Harness.sweep_modules() restricted to the CATALOG_SPECS catalogs with q <= 9."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "CATALOG_SPECS", tuple(s for s in verify.CATALOG_SPECS if s[0] <= 9))
+        return verify.Harness(seed=42).sweep_modules()
+
+
+@pytest.fixture(scope="module")
+def small_sweep_stabilizers(small_sweep):
+    """Stabilizers of the nonzero covectors, as semidirect_degrees meets them."""
+    return [
+        o.stab
+        for _q, _label, e in small_sweep
+        for o in orbit_decompose(dual(e.module)).orbits
+        if o.rep_key != 0
+    ]
+
+
+def _brute_force_class_count(sub):
+    g = sub.parent
+    return len(
+        {
+            frozenset(g.mult(g.mult(int(g.inverse[y]), x), y) for y in sub.members)
+            for x in sub.members
+        }
+    )
+
+
+#: (name, order, element-order counts, degree multiplicities); the counts
+#: single each group out among the subgroups of SL2(q)
+BINARY_STABILIZERS = (
+    ("Q8", 8, {1: 1, 2: 1, 4: 6}, {1: 4, 2: 1}),
+    ("Dic3", 12, {1: 1, 2: 1, 3: 2, 4: 6, 6: 2}, {1: 4, 2: 2}),
+    ("SL2(3)", 24, {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}, {1: 3, 2: 3, 3: 1}),
+    ("Q16", 16, {1: 1, 2: 1, 4: 10, 8: 4}, {1: 4, 2: 3}),
+    ("2.S4", 48, {1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12}, {1: 2, 2: 3, 3: 2, 4: 1}),
+)
+
+
+@pytest.mark.parametrize("name, order, element_orders, degrees", BINARY_STABILIZERS)
+def test_binary_stabilizer_degrees(small_sweep_stabilizers, name, order, element_orders, degrees):
+    stab = next(
+        s
+        for s in small_sweep_stabilizers
+        if s.order == order
+        and Counter(int(x) for x in s.parent.element_orders[list(s.members)]) == element_orders
+    )
+    mult = stabilizer_degree_multiplicities(stab)
+    assert mult == degrees
+    assert sum(mult.values()) == _brute_force_class_count(stab)
+    assert sum(k * d * d for d, k in mult.items()) == order
+    assert all(order % d == 0 for d in mult)
+
+
+#: the degree lists of the sweep modules that the element-order lookup
+#: table and the Frobenius matcher already decided, pinned verbatim
+PINNED_SWEEP_DEGREES = {
+    "sl2:4/F2/dim4#1": [[1, 1], [3, 2], [4, 1], [5, 4], [10, 2], [15, 1], [20, 1]],
+    "sl2:4/F2/dim4#2": [[1, 1], [3, 2], [4, 1], [5, 1], [15, 4]],
+    "sl2:4/F3/dim4#1": [[1, 1], [3, 2], [4, 1], [5, 7], [10, 4], [15, 2], [20, 5], [30, 2]],
+    "sl2:4/F3/dim6#2": [[1, 1], [3, 2], [4, 1], [5, 1], [12, 20], [20, 12], [30, 8], [60, 8]],
+    "sl2:5/F3/dim4#2": [[1, 1], [2, 2], [3, 2], [4, 2], [5, 1], [6, 1], [40, 6]],
+    "sl2:5/F3/dim6#3": [
+        [1, 1], [2, 2], [3, 2], [4, 2], [5, 1], [6, 1], [24, 10], [40, 6], [120, 5],
+    ],
+    "sl2:5/F3/dim6#4": [
+        [1, 1], [2, 2], [3, 2], [4, 2], [5, 1], [6, 1], [12, 40], [20, 24], [30, 16], [60, 16],
+    ],
+    "sl2:9/F3/dim4#2": [[1, 1], [4, 2], [5, 2], [8, 4], [9, 1], [10, 3], [80, 9]],
+    "sl2:9/F3/dim6#3": [
+        [1, 1], [4, 2], [5, 2], [8, 4], [9, 1], [10, 3], [40, 36], [72, 40], [90, 32],
+    ],
+    "sl2:9/F3/dim12#5": [
+        [1, 1], [4, 2], [5, 2], [8, 4], [9, 1], [10, 3], [80, 9], [144, 100], [240, 36],
+        [720, 730],
+    ],
+}
+
+
+def test_semidirect_degrees_decides_every_small_sweep_module(small_sweep):
+    """Every q <= 9 sweep module gets a degree set, and those the lookup
+    table already decided keep their degree lists."""
+    decided = {}
+    for _q, label, e in small_sweep:
+        decided[label] = [list(dk) for dk in semidirect_degrees(e.module).multiplicities]
+    assert len(decided) == 21
+    for label, pinned in PINNED_SWEEP_DEGREES.items():
+        assert decided[label] == pinned
 
 
 # -- descriptor predictions -------------------------------------------------------

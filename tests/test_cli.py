@@ -71,6 +71,21 @@ def test_extension_command(tmp_path, capsys):
     assert sorted(map(sorted, data["analysis"]["components"])) == [[2, 3], [5]]
 
 
+def test_extension_command_with_non_abelian_stabilizers(tmp_path, capsys):
+    """The 4-dim F2 module of SL2(5) with ell = 2 has stabilizers Q8, outside
+    any fixed table; their degrees are computed."""
+    mod = tmp_path / "m.json"
+    code, _ = run_cli(
+        capsys,
+        "module", "select", "--group", "sl2:5", "--char", "2", "--cap", "8",
+        "--dim", "4", "--ell", "2", "--out", str(mod),
+    )
+    assert code == 0
+    code, out = run_cli(capsys, "extension", "--group", "sl2:5", "--module", str(mod))
+    assert code == 0
+    assert json.loads(out)["degrees"] == [1, 2, 3, 4, 5, 6, 15, 30]
+
+
 def test_classify_command(capsys):
     code, out = run_cli(capsys, "classify", "--case", "c", "--q", "13", "--p", "2", "--vgk", "2")
     assert code == 0

@@ -20,7 +20,7 @@ from chardeg.groups import (
     whole_group,
 )
 from chardeg.linalg import identity_matrix
-from chardeg.numtheory import p_part
+from chardeg.numtheory import factorize, p_part
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +312,28 @@ def _sylow_buckets_per_element(g):
 def test_sylow_char_subgroups_match_per_element_buckets(q):
     g = sl2_group(q)
     assert [T.members for T in sylow_char_subgroups(g)] == _sylow_buckets_per_element(g)
+
+
+def _normal_full_sylow_by_mult(g, sub, r):
+    """contains_normal_full_sylow as a closure test over g.mult pairs."""
+    full = p_part(g.order, r)
+    relems = [m for m in sub.members if full % int(g.element_orders[m]) == 0]
+    return len(relems) == full and all(
+        g.mult(x, y) in set(relems) for x in relems for y in relems
+    )
+
+
+@pytest.mark.parametrize("q,r", [(5, 3), (7, 2), (8, 3), (9, 2)])
+def test_contains_normal_full_sylow_matches_mult_oracle(q, r):
+    from chardeg.modules import perm_module
+    from chardeg.orbits import orbit_decompose
+
+    g = sl2_group(q)
+    stabs = [o.stab for o in orbit_decompose(perm_module(g, "projective-points", r)).orbits]
+    seen = set()
+    for u in [*sorted(factorize(g.order)), 11]:  # 11 divides none of these orders
+        for stab in stabs:
+            got = contains_normal_full_sylow(g, stab, u)
+            assert got == _normal_full_sylow_by_mult(g, stab, u)
+            seen.add(got)
+    assert seen == {True, False}

@@ -293,15 +293,16 @@ def test_module_from_json_rejects_extension_field(g5):
         module_from_json(data)
 
 
-def test_budget_exhaustion_is_inconclusive(g5):
+def test_budget_exhaustion_is_inconclusive(g5, monkeypatch):
     """A spent search budget must surface as its own status, never as an answer."""
     import numpy as np
 
-    from chardeg.modules import InconclusiveError, _meataxe_step
+    import chardeg.modules as modules
 
+    monkeypatch.setattr(modules, "ALGEBRA_BUDGET", 0)
     nat = natural_restricted(5, g5)
-    with pytest.raises(InconclusiveError):
-        _meataxe_step(nat, np.random.default_rng(0), budget=0)
+    with pytest.raises(modules.InconclusiveError):
+        modules._meataxe_step(nat, np.random.default_rng(0))
 
 
 def test_module_images_consistency(g5):

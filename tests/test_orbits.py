@@ -109,11 +109,11 @@ def test_covering_requires_odd_divisors(g4, cat42):
 
 
 def test_sylow_centralizer_condition_examples(g4):
-    nat = natural_restricted(4, g4)
+    nat = orbit_decompose(natural_restricted(4, g4))
     assert sylow_centralizer_condition(nat, 2)
     assert not sylow_centralizer_condition(nat, 3)
     g7 = sl2_group(7)
-    three = irreducible_catalog(g7, 2, 8).select(dim=3)[0].module
+    three = orbit_decompose(irreducible_catalog(g7, 2, 8).select(dim=3)[0].module)
     assert not sylow_centralizer_condition(three, 3)
     assert not sylow_centralizer_condition(three, 7)
 
@@ -122,8 +122,9 @@ def test_sylow_centralizer_condition_natural_q8():
     # the 2a-dimensional natural module in characteristic 2, a = 3
     m = natural_restricted(8)
     assert m.dim == 6
-    assert sylow_centralizer_condition(m, 2)
-    assert not sylow_centralizer_condition(m, 7)
+    report = orbit_decompose(m)
+    assert sylow_centralizer_condition(report, 2)
+    assert not sylow_centralizer_condition(report, 7)
 
 
 def test_prime_escape_examples(g5):
@@ -226,6 +227,4 @@ def test_semidirect_and_sylow_condition_reuse_orbit_stabilizers(monkeypatch):
     for mod in (classify, orbits, verify):
         monkeypatch.setattr(mod, "stabilizer", refuse, raising=False)
     assert classify.semidirect_degrees(natural_restricted(8)).degrees
-    h = verify.Harness(seed=42)
-    g4 = h.group(4)
-    assert verify._nq_condition(h, g4, natural_restricted(4, g4), 2)
+    assert orbits.sylow_centralizer_condition(orbit_decompose(natural_restricted(4)), 2)
