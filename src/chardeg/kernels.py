@@ -1,12 +1,12 @@
-"""Hot numeric kernels: orbit labelling, orbit stabilizers and prime-field row reduction.
+"""Hot numeric kernels: orbit labelling, orbit stabilizers, BFS levels and prime-field row reduction.
 
 All kernels are vectorized numpy.  orbit_labels is the one orbit engine
 of the package: vector orbits, conjugacy classes and power-map cycles are
-all labelled through it.  orbit_sweep and orbit_stabilizers build int32
-key permutations from digit tables, and orbit_stabilizers reads every
-stabilizer off one walk of the group's BFS tree over them.  rref_prime is
-the one echelon engine: linalg.rref and the meataxe spin both reduce
-through it.
+all labelled through it.  orbit_stabilizers builds int32 key permutations
+from digit tables and reads every stabilizer off one walk of the group's
+BFS tree over them; bfs_levels is the one reading of that tree's levels.
+rref_prime is the one echelon engine: linalg.rref and the meataxe spin
+both reduce through it.
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -87,18 +87,19 @@ def _number_orbits(least: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return labels, reps, np.bincount(labels, minlength=reps.size)
 
 
-def orbit_sweep(gens: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full orbit decomposition of F_r^dim under the generator matrices.
+def bfs_levels(parent: np.ndarray) -> list[tuple[int, int]]:
+    """The levels [lo, hi) after the root of a group's BFS tree.
 
-    Returns (labels, reps, sizes): labels (int32) maps each packed key to
-    its orbit index; reps (int64) holds the minimal packed key of every
-    orbit, ascending, and orbits are numbered in that order; sizes (int64)
-    the orbit cardinalities.
+    parent is nondecreasing and parent[i] < i, so the elements whose
+    parents are all below lo form one BFS level [lo, hi).
     """
-    perms = _key_perms(gens, r, dim)
-    least = orbit_labels(perms, r**dim)
-    del perms  # the largest arrays of the sweep; free them before numbering
-    return _number_orbits(least)
+    levels = []
+    lo = 1
+    while lo < parent.size:
+        hi = int(np.searchsorted(parent, lo))
+        levels.append((lo, hi))
+        lo = hi
+    return levels
 
 
 def orbit_stabilizers(
@@ -108,8 +109,10 @@ def orbit_stabilizers(
 
     gens are the images of the group's generators, and the group's BFS tree
     has element i = elems[parent[i]] @ gens[parent_gen[i]].  Returns (reps,
-    sizes, members): reps and sizes as orbit_sweep gives them, and for every
-    representative v the ascending indices of the elements that fix it.
+    sizes, members): reps (int64) holds the least key of every orbit,
+    ascending; sizes (int64) the orbit cardinalities in that order; and
+    members, for every representative v, the ascending indices of the
+    elements that fix it.
 
     The key permutations are inverted in place, so perms[j] maps key(v) to
     key(gens[j]^-1 v); they have the same orbits.  The walk
@@ -127,14 +130,7 @@ def orbit_stabilizers(
     n = parent.size
     flat = perms.reshape(-1)
     offset = parent_gen.astype(np.int64) * nvec
-    # parent is nondecreasing and parent[i] < i, so the elements whose
-    # parents are all below lo form one BFS level [lo, hi)
-    levels = []
-    lo = 1
-    while lo < n:
-        hi = int(np.searchsorted(parent, lo))
-        levels.append((lo, hi, parent[lo:hi], offset[lo:hi, None]))
-        lo = hi
+    levels = [(lo, hi, parent[lo:hi], offset[lo:hi, None]) for lo, hi in bfs_levels(parent)]
     block = max(1, STAB_BLOCK_CELLS // n)
     members: list[np.ndarray] = []
     K = np.empty((n, min(block, reps.size)), dtype=np.int32)

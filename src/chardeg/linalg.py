@@ -1,8 +1,10 @@
-"""Exact matrix algebra over the fields of :mod:`chardeg.fields`.
+"""Field-generic exact linear algebra: rref, nullspace, inverse and subspaces.
 
-Matrices are plain numpy int64 arrays of scalar indices; every function
-takes the field as its first argument.  Prime fields run on direct
-modular arithmetic, extension fields on the precomputed lookup tables.
+Matrices are plain numpy int64 arrays of scalar indices over the fields of
+:mod:`chardeg.fields`; every function takes the field as its first
+argument.  Prime fields reduce through kernels.rref_prime, extension
+fields on the precomputed lookup tables.  Matrix arithmetic over a prime
+field is plain numpy mod p at the call site.
 """
 
 from __future__ import annotations
@@ -24,49 +26,6 @@ def as_matrix(data) -> np.ndarray:
 
 def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if F.is_prime_field:
-        return (A @ B) % F.p
-    add_t, mul_t = F.tables[0], F.tables[1]
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        acc = add_t[acc, mul_t[A[:, k][:, None], B[k][None, :]]]
-    return acc
-
-
-def mat_neg(F: Field, A: np.ndarray) -> np.ndarray:
-    if F.is_prime_field:
-        return (-A) % F.p
-    return F.tables[2][A]
-
-
-def mat_add(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if F.is_prime_field:
-        return (A + B) % F.p
-    return F.tables[0][A, B]
-
-
-def mat_sub(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return mat_add(F, A, mat_neg(F, B))
-
-
-def trace(F: Field, A: np.ndarray) -> int:
-    t = 0
-    for x in np.diagonal(A):
-        t = F.add(t, int(x))
-    return t
-
-
-def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if F.is_prime_field:
-        return np.kron(A, B) % F.p
-    mul_t = F.tables[1]
-    ma, na = A.shape
-    mb, nb = B.shape
-    out = mul_t[A[:, None, :, None], B[None, :, None, :]]
-    return out.reshape(ma * mb, na * nb)
 
 
 @dataclass(frozen=True)
@@ -138,13 +97,8 @@ def mat_inv(F: Field, A: np.ndarray) -> np.ndarray:
 
 
 def row_space_contains(F: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
-    """Membership test against an RREF row basis.
-
-    A member's coordinates are its entries in the pivot columns, so v is in
-    the span exactly when v - v[pivots] . basis vanishes.
-    """
-    piv = (basis_rref != 0).argmax(axis=1)
-    return not mat_sub(F, v, mat_mul(F, v[piv][None, :], basis_rref)).any()
+    """Membership test: appending v to a row basis leaves the rank unchanged."""
+    return rref(F, np.concatenate([basis_rref, v[None, :]])).rank == basis_rref.shape[0]
 
 
 @dataclass(frozen=True)
@@ -178,28 +132,3 @@ def kernel(F: Field, A) -> Subspace:
     A = as_matrix(A)
     basis = nullspace(F, A)
     return Subspace(F, A.shape[1], basis)
-
-
-def matrix_to_json(F: Field, A: np.ndarray) -> dict:
-    A = as_matrix(A)
-    return {
-        "p": F.p,
-        "k": F.k,
-        "modulus": list(F.modulus),
-        "rows": int(A.shape[0]),
-        "cols": int(A.shape[1]),
-        "entries": [int(x) for x in A.reshape(-1)],
-    }
-
-
-def matrix_from_json(data: dict) -> tuple[Field, np.ndarray]:
-    from chardeg.fields import field_from_json
-
-    F = field_from_json(data)
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = [int(x) for x in data["entries"]]
-    if len(entries) != rows * cols:
-        raise ValueError("entry count does not match matrix shape")
-    if any(not 0 <= e < F.order for e in entries):
-        raise ValueError("matrix entry out of field range")
-    return F, np.asarray(entries, dtype=np.int64).reshape(rows, cols)

@@ -25,18 +25,8 @@ from chardeg.groups import (
     group_from_json,
     whole_group,
 )
-from chardeg.kernels import orbit_labels, rref_prime
-from chardeg.linalg import (
-    Subspace,
-    identity_matrix,
-    kron,
-    mat_inv,
-    mat_mul,
-    mat_sub,
-    nullspace,
-    rref,
-    trace,
-)
+from chardeg.kernels import bfs_levels, orbit_labels, rref_prime
+from chardeg.linalg import Subspace, identity_matrix, mat_inv, nullspace, rref
 from chardeg.numtheory import is_prime
 
 CHOP_DIM_CAP = 512
@@ -88,7 +78,7 @@ class GModule:
         """Image of group element idx, by replaying its generator word."""
         out = identity_matrix(self.dim)
         for gi in self.group.word(idx):
-            out = mat_mul(self.field, out, self.gen_images[gi])
+            out = out @ self.gen_images[gi] % self.field.p
         return out
 
     @cached_property
@@ -102,13 +92,8 @@ class GModule:
         parent = self.group.parent
         pgen = self.group.parent_gen
         gens = np.stack(self.gen_images)
-        # parent is nondecreasing and parent[i] < i, so the elements whose
-        # parents are all below lo form one BFS level [lo, hi)
-        lo = 1
-        while lo < n:
-            hi = int(np.searchsorted(parent, lo))
+        for lo, hi in bfs_levels(parent):
             out[lo:hi] = np.matmul(out[parent[lo:hi]], gens[pgen[lo:hi]]) % self.field.p
-            lo = hi
         out.flags.writeable = False
         return out
 
@@ -126,7 +111,7 @@ class GModule:
     def fingerprint(self) -> tuple[int, ...]:
         """Sorted traces of the images of the first FINGERPRINT_COUNT canonical elements."""
         n = min(FINGERPRINT_COUNT, self.group.order)
-        return tuple(sorted(trace(self.field, self.image_of(i)) for i in range(n)))
+        return tuple(sorted(int(np.trace(self.image_of(i))) % self.field.p for i in range(n)))
 
     @cached_property
     def class_traces(self) -> tuple[int, ...]:
@@ -135,7 +120,8 @@ class GModule:
         Isomorphic modules agree here, so a mismatch is a cheap
         non-isomorphism certificate; equality still needs the hom solve.
         """
-        return tuple(trace(self.field, self.image_of(int(rep))) for rep in self.group.class_reps)
+        p = self.field.p
+        return tuple(int(np.trace(self.image_of(int(rep)))) % p for rep in self.group.class_reps)
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +137,15 @@ def module_from_json(data: dict, group: GroupTable | None = None) -> GModule:
         group = group_from_json(data["group"])
     F = field_from_json(data["field"])
     d = int(data["dim"])
-    imgs = [np.asarray(flat, dtype=np.int64).reshape(d, d) for flat in data["gen_images"]]
+    imgs = []
+    for flat in data["gen_images"]:
+        if not isinstance(flat, list) or any(type(x) is not int for x in flat):
+            raise ModuleError("a generator image must be a flat list of integers")
+        if len(flat) != d * d:
+            raise ModuleError(f"a generator image needs {d * d} entries, not {len(flat)}")
+        if any(not 0 <= x < F.order for x in flat):
+            raise ModuleError(f"generator image entry outside [0, {F.order})")
+        imgs.append(np.asarray(flat, dtype=np.int64).reshape(d, d))
     return GModule(group, F, imgs)
 
 
@@ -163,7 +157,7 @@ def validate_homomorphism(m: GModule, samples: int = 100, seed: int = 42) -> boo
         x = int(rng.integers(n))
         y = int(rng.integers(n))
         lhs = m.image_of(m.group.mult(x, y))
-        rhs = mat_mul(m.field, m.image_of(x), m.image_of(y))
+        rhs = m.image_of(x) @ m.image_of(y) % m.field.p
         if not np.array_equal(lhs, rhs):
             return False
     return True
@@ -268,7 +262,7 @@ def natural_restricted(q: int, group: GroupTable | None = None) -> GModule:
 def tensor(m1: GModule, m2: GModule) -> GModule:
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("tensor requires the same group and field")
-    images = [kron(m1.field, a, b) for a, b in zip(m1.gen_images, m2.gen_images)]
+    images = [np.kron(a, b) % m1.field.p for a, b in zip(m1.gen_images, m2.gen_images)]
     return GModule(m1.group, m1.field, images, check=False)
 
 
@@ -313,7 +307,7 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
     for _ in range(3):
         word = identity_matrix(d)
         for _ in range(int(rng.integers(1, 4))):
-            word = mat_mul(F, word, gen_images[int(rng.integers(g))])
+            word = word @ gen_images[int(rng.integers(g))] % F.p
         c = int(rng.integers(F.order))
         if c:
             A = (A + c * word) % F.p
@@ -391,7 +385,7 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     Ci = mat_inv(F, C)
     subs, quots = [], []
     for M in m.gen_images:
-        Mp = mat_mul(F, mat_mul(F, Ci, M), C)
+        Mp = (Ci @ M % F.p) @ C % F.p
         if Mp[w:, :w].any():
             raise ModuleError("subspace is not invariant")
         subs.append(Mp[:w, :w].copy())
@@ -437,19 +431,24 @@ def chop(m: GModule, seed: int = 42) -> list[GModule]:
 # -- hom spaces, isomorphism, endomorphisms -------------------------------------
 
 
+def _hom_basis(F: Field, pairs, d1: int, d2: int) -> np.ndarray:
+    """Basis of {X : M2 X = X M1 for every pair (M1, M2)}, X a d2 x d1 matrix.
+
+    With X read row by row into a vector x, M2 X is kron(M2, I_d1) x and
+    X M1 is kron(I_d2, M1^T) x, so the space is the nullspace of the
+    stacked differences mod p.
+    """
+    i1, i2 = identity_matrix(d1), identity_matrix(d2)
+    blocks = [(np.kron(M2, i1) - np.kron(i2, M1.T)) % F.p for M1, M2 in pairs]
+    return nullspace(F, np.concatenate(blocks, axis=0))
+
+
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
     """dim of {X : image2(g) X = X image1(g) for all generators}."""
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("hom spaces need the same group and field")
-    F = m1.field
-    d1, d2 = m1.dim, m2.dim
-    i1 = identity_matrix(d1)
-    i2 = identity_matrix(d2)
-    blocks = []
-    for M1, M2 in zip(m1.gen_images, m2.gen_images):
-        blocks.append(mat_sub(F, kron(F, M2, i1), kron(F, i2, M1.T.copy())))
-    big = np.concatenate(blocks, axis=0)
-    return int(nullspace(F, big).shape[0])
+    pairs = zip(m1.gen_images, m2.gen_images)
+    return int(_hom_basis(m1.field, pairs, m1.dim, m2.dim).shape[0])
 
 
 def endo_dim(m: GModule) -> int:
@@ -464,16 +463,15 @@ def is_isomorphic(m1: GModule, m2: GModule) -> bool:
 
 
 def fixed_subspace(m: GModule, sub: Subgroup) -> Subspace:
-    """Common fixed vectors of a subgroup, as the intersection of kernels."""
+    """Common fixed vectors of a subgroup, as Hom_H(trivial, M)."""
     if sub.parent is not m.group:
         raise ModuleError("subgroup belongs to a different group")
     gens = sub.generating_set()
     if not gens:
         basis = rref(m.field, identity_matrix(m.dim)).reduced
-        return Subspace(m.field, m.dim, basis)
-    ident = identity_matrix(m.dim)
-    blocks = [mat_sub(m.field, m.image_of(g), ident) for g in gens]
-    basis = nullspace(m.field, np.concatenate(blocks, axis=0))
+    else:
+        one = identity_matrix(1)
+        basis = _hom_basis(m.field, [(one, m.image_of(g)) for g in gens], 1, m.dim)
     return Subspace(m.field, m.dim, basis)
 
 

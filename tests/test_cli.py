@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chardeg.cli import main
 
 
@@ -69,6 +71,38 @@ def test_extension_command(tmp_path, capsys):
     data = json.loads(out)
     assert data["degrees"] == [1, 2, 3, 4, 5, 6, 24]
     assert sorted(map(sorted, data["analysis"]["components"])) == [[2, 3], [5]]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (6, "outside [0, 5)"),
+        (-4, "outside [0, 5)"),
+        (None, "needs 4 entries, not 3"),
+        (1.7, "flat list of integers"),
+        ("1", "flat list of integers"),
+    ],
+    ids=["entry-6", "entry-minus-4", "image-one-short", "entry-float", "entry-string"],
+)
+def test_malformed_module_file_is_a_module_error(tmp_path, capsys, edit, message):
+    """A module file edited by hand: an entry that only agrees with a valid
+    one mod 5 or after int(), or an image a value short, is refused as a
+    ModuleError (exit 2)."""
+    nat = tmp_path / "nat.json"
+    assert run_cli(capsys, "module", "natural", "--group", "sl2:5", "--out", str(nat))[0] == 0
+    data = json.loads(nat.read_text())
+    image = data["gen_images"][0]
+    if edit is None:
+        image.pop()
+    else:
+        image[image.index(1)] = edit
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["orbits", "decompose", "--module", str(bad)], ["extension", "--group", "sl2:5", "--module", str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_extension_command_with_non_abelian_stabilizers(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,10 @@ from chardeg.fields import field_make
 from chardeg.linalg import (
     identity_matrix,
     kernel,
-    kron,
     mat_inv,
-    mat_mul,
-    matrix_from_json,
-    matrix_to_json,
     nullspace,
     rref,
+    row_space_contains,
 )
 
 F2 = field_make(2)
@@ -61,6 +60,18 @@ def test_kernel_membership_over_f4():
     assert not empty.contains([0, 1])
 
 
+def _table_mat_mul(F, A, B):
+    """Matrix product entry by entry through the field's scalar operations."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
+            out[i, j] = acc
+    return out
+
+
 def test_mat_inv_round_trip():
     rng = np.random.default_rng(0)
     for F in (F3, F5, F4, F9):
@@ -70,7 +81,7 @@ def test_mat_inv_round_trip():
                 A = rng.integers(0, F.order, size=(n, n)).astype(np.int64)
                 if rref(F, A).rank == n:
                     break
-            assert np.array_equal(mat_mul(F, A, mat_inv(F, A)), identity_matrix(n))
+            assert np.array_equal(_table_mat_mul(F, A, mat_inv(F, A)), identity_matrix(n))
 
 
 def test_extension_field_rref_agrees_with_prime_subfield():
@@ -79,13 +90,22 @@ def test_extension_field_rref_agrees_with_prime_subfield():
     assert rref(F4, A).rank == rref(F2, A).rank
 
 
-def test_kron_dims_and_prime_field():
-    A = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    B = identity_matrix(3)
-    K = kron(F3, A, B)
-    assert K.shape == (6, 6)
-    K4 = kron(F4, A, B)
-    assert np.array_equal(K % 2, K4 % 2)
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_row_space_contains_matches_exhaustive_span(F):
+    rng = np.random.default_rng(F.order)
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        rows = rng.integers(0, F.order, size=(int(rng.integers(0, n + 1)), n)).astype(np.int64)
+        res = rref(F, rows)
+        basis = res.reduced[: res.rank]
+        span = set()
+        for coeffs in itertools.product(range(F.order), repeat=res.rank):
+            v = [0] * n
+            for c, row in zip(coeffs, basis):
+                v = [F.add(x, F.mul(c, int(y))) for x, y in zip(v, row)]
+            span.add(tuple(v))
+        for v in itertools.product(range(F.order), repeat=n):
+            assert row_space_contains(F, basis, np.asarray(v, dtype=np.int64)) == (v in span)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,14 +126,3 @@ def test_rank_nullity_and_idempotence(p, m, n, seed):
     # every kernel row really is in the kernel
     if ns.shape[0]:
         assert not ((A @ ns.T) % p).any()
-
-
-def test_matrix_json_round_trip():
-    A = np.array([[1, 2], [0, 1]], dtype=np.int64)
-    data = matrix_to_json(F3, A)
-    F, B = matrix_from_json(data)
-    assert F is F3
-    assert np.array_equal(A, B)
-    data["entries"][0] = 7
-    with pytest.raises(ValueError):
-        matrix_from_json(data)

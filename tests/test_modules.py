@@ -1,11 +1,20 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from chardeg.fields import field_make
-from chardeg.groups import sl2_group, subgroup_from_gens, sylow_char_subgroups
-from chardeg.linalg import identity_matrix, mat_mul
+from chardeg.groups import (
+    sl2_group,
+    subgroup_from_gens,
+    sylow,
+    sylow_char_subgroups,
+    trivial_subgroup,
+    whole_group,
+)
+from chardeg.linalg import identity_matrix
+from chardeg.numtheory import prime_divisors
 from chardeg.modules import (
     ModuleError,
     chop,
@@ -312,7 +321,7 @@ def test_module_images_consistency(g5):
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, g5.order, size=2))
         lhs = imgs[g5.mult(x, y)]
-        rhs = mat_mul(nat.field, imgs[x], imgs[y])
+        rhs = imgs[x] @ imgs[y] % 5
         assert np.array_equal(lhs, rhs)
 
 
@@ -326,3 +335,114 @@ def test_element_images_match_word_replay():
         assert imgs.shape == (m.group.order, m.dim, m.dim)
         for i in range(m.group.order):
             assert np.array_equal(imgs[i], m.image_of(i))
+
+
+# -- oracles for the prime-field arithmetic -------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _small_modules(p):
+    """Modules over F_p on one group, every vector space of at most 3^6 vectors."""
+    if p == 2:
+        g = sl2_group(4)
+        mods = [natural_restricted(4, g), perm_module(g, "projective-points", 2)]
+        mods += [e.module for e in irreducible_catalog(g, 2, 8).entries]
+    elif p == 3:
+        g = sl2_group(4)
+        mods = [perm_module(g, "projective-points", 3)]
+        mods += [e.module for e in irreducible_catalog(g, 3, 8).entries]
+    else:
+        g = sl2_group(5)
+        nat = natural_restricted(5, g)
+        mods = [nat, dual(nat), tensor(nat, nat), trivial_module(g, 5)]
+    return tuple(m for m in mods if p**m.dim <= 3**6)
+
+
+def _vectors(p, d, lo=0, hi=None):
+    """The vectors of F_p^d with keys lo, ..., hi - 1 (all of them by default), one per row."""
+    keys = np.arange(lo, p**d if hi is None else min(hi, p**d))
+    return (keys[:, None] // p ** np.arange(d)) % p
+
+
+@pytest.mark.parametrize("q,p", [(4, 2), (9, 3), (5, 5)], ids=["F2", "F3", "F5"])
+def test_tensor_images_match_entry_formula(q, p):
+    g = sl2_group(q)
+    a, b = natural_restricted(q, g), perm_module(g, "projective-points", p)
+    t = tensor(a, b)
+    db = b.dim
+    for A, B, T in zip(a.gen_images, b.gen_images, t.gen_images):
+        assert T.shape == (a.dim * db, a.dim * db)
+        for i, j, k, l in itertools.product(range(a.dim), range(a.dim), range(db), range(db)):
+            assert T[i * db + k, j * db + l] == int(A[i, j]) * int(B[k, l]) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_traces_match_diagonal_sums_of_element_images(p):
+    for m in _small_modules(p):
+        imgs = m.element_images
+        diag = [sum(int(imgs[i, k, k]) for k in range(m.dim)) % p for i in range(m.group.order)]
+        assert m.class_traces == tuple(diag[int(c)] for c in m.group.class_reps)
+        assert m.fingerprint() == tuple(sorted(diag[: min(20, m.group.order)]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fixed_subspace_matches_exhaustive_count(p):
+    for m in _small_modules(p):
+        g = m.group
+        subs = [sylow_char_subgroups(g)[0], whole_group(g), trivial_subgroup(g), subgroup_from_gens(g, [1])]
+        subs += [sylow(g, u) for u in sorted(prime_divisors(g.order))]
+        vecs = _vectors(p, m.dim)
+        for sub in subs:
+            fixed = np.ones(len(vecs), dtype=bool)
+            for x in sub.members:
+                fixed &= (vecs @ m.element_images[x].T % p == vecs).all(axis=1)
+            fs = fixed_subspace(m, sub)
+            assert int(fixed.sum()) == p**fs.dim
+            for v in fs.basis:
+                assert fixed[int(v @ p ** np.arange(m.dim))]
+
+
+def _count_intertwiners(m1, m2):
+    """Number of d2 x d1 matrices X with M2 X = X M1 on every generator, by enumeration."""
+    p, d1, d2 = m1.field.p, m1.dim, m2.dim
+    total = p ** (d1 * d2)
+    assert total <= 1 << 20
+    count = 0
+    for lo in range(0, total, 1 << 14):
+        X = _vectors(p, d1 * d2, lo, lo + (1 << 14)).reshape(-1, d2, d1)
+        ok = np.ones(X.shape[0], dtype=bool)
+        for M1, M2 in zip(m1.gen_images, m2.gen_images):
+            ok &= ((M2 @ X - X @ M1) % p == 0).all(axis=(1, 2))
+        count += int(ok.sum())
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_space_dim_matches_exhaustive_intertwiners(p):
+    if p == 2:
+        g = sl2_group(4)
+        perm = perm_module(g, "projective-points", 2)
+        cat = irreducible_catalog(g, 2, 8)
+        pairs = [
+            (trivial_module(g, 2), perm),
+            (perm, cat.select(dim=4, ell=1)[0].module),
+            (natural_restricted(4, g), cat.select(dim=4, ell=2)[0].module),
+            (natural_restricted(4, g), cat.select(dim=4, ell=1)[0].module),
+        ]
+    elif p == 3:
+        g = sl2_group(4)
+        perm = perm_module(g, "projective-points", 3)
+        two = _direct_sum(trivial_module(g, 3), trivial_module(g, 3))
+        four = irreducible_catalog(g, 3, 8).select(dim=4)[0].module
+        pairs = [(two, perm), (perm, two), (trivial_module(g, 3), four)]
+    else:
+        g = sl2_group(5)
+        nat = natural_restricted(5, g)
+        sq = tensor(nat, nat)
+        pairs = [(trivial_module(g, 5), sq), (sq, trivial_module(g, 5)), (nat, sq)]
+    dims = []
+    for m1, m2 in pairs:
+        assert m1 is not m2
+        dims.append(hom_space_dim(m1, m2))
+        assert _count_intertwiners(m1, m2) == p ** dims[-1]
+    assert max(dims) > 0

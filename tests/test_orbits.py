@@ -72,19 +72,24 @@ def test_orbit_stabilizer_identity(g4, cat42):
         assert sum(o.size for o in rep.orbits) == 2**e.dim
 
 
+def _brute_force_orbit(m, key):
+    """The distinct keys of the images of one vector under every group element."""
+    p, d = m.field.p, m.dim
+    images = m.element_images @ np.asarray(unpack_key(key, p, d)) % p
+    return np.unique(images @ p ** np.arange(d))
+
+
 def test_flags_constant_on_orbits(g4, cat42):
     """The covering condition is conjugation-invariant, so recomputing a
     flag on a non-representative member must agree with the orbit flag."""
     from chardeg.groups import contains_normal_full_sylow
-    from chardeg.kernels import orbit_sweep
 
     omega = cat42.select(dim=4, ell=1)[0].module
     rep = covering_classify(omega, r=3)
-    labels, reps, _sizes = orbit_sweep(np.stack(omega.gen_images), 2, 4)
+    by_rep = {o.rep_key: o for o in rep.orbits}
     rng = np.random.default_rng(6)
     for key in rng.integers(1, 16, size=8):
-        oid = int(labels[int(key)])
-        orb = rep.orbits[oid]
+        orb = by_rep[min(_brute_force_orbit(omega, int(key)))]
         stab = stabilizer(omega, unpack_key(int(key), 2, 4))
         assert contains_normal_full_sylow(g4, stab, 3) == orb.flags["minus"]
         assert contains_normal_full_sylow(g4, stab, 2) == orb.flags["char"]
@@ -187,14 +192,20 @@ STABILIZER_ORACLE_MODULES = {
 
 @pytest.mark.parametrize("label", list(STABILIZER_ORACLE_MODULES))
 def test_orbit_stabilizers_match_image_table(label):
-    """The tree-walk stabilizers against the image-table fixed-point test."""
+    """The tree-walk stabilizers against the image-table fixed-point test,
+    and the orbits against the image table's orbits of the representatives."""
     m = STABILIZER_ORACLE_MODULES[label]()
     group = m.group
     gens = np.stack(m.gen_images)
     reps, sizes, members = kernels.orbit_stabilizers(gens, m.field.p, m.dim, group.parent, group.parent_gen)
-    _labels, reps_ref, sizes_ref = kernels.orbit_sweep(gens, m.field.p, m.dim)
-    assert reps.dtype == reps_ref.dtype and np.array_equal(reps, reps_ref)
-    assert sizes.dtype == sizes_ref.dtype and np.array_equal(sizes, sizes_ref)
+    assert reps.dtype == sizes.dtype == np.int64
+    # each rep is the least key of its orbit, so distinct reps lie in distinct
+    # orbits, and the sizes summing to the space leaves no orbit out
+    assert (np.diff(reps) > 0).all()
+    for key, size in zip(reps.tolist(), sizes.tolist()):
+        orbit = _brute_force_orbit(m, key)
+        assert orbit.min() == key and orbit.size == size
+    assert int(sizes.sum()) == m.field.p**m.dim
     assert len(members) == reps.size
     if label.startswith("sl2:11"):
         # more representatives than one block of the walk, and a kernel {+-1}
