@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a verification check failed or ended in an error,
 2 usage error, 3 a cap or randomized-search budget was exceeded (for
 verify: a check was inconclusive).  All randomized
-procedures key off --seed (or the CHARDEG_SEED environment variable),
-and identical invocations produce byte-identical JSON.
+procedures key off --seed (or the CHARDEG_SEED environment variable, a
+non-negative integer), and identical invocations produce byte-identical
+JSON.
 """
 
 from __future__ import annotations
@@ -94,16 +95,25 @@ def _cmd_module(args) -> int:
         hits = cat.select(dim=args.dim, faithful=args.faithful, ell=args.ell)
         if not hits:
             raise ModuleError("no catalog entry matches the selection")
+        if not 0 <= args.index < len(hits):
+            raise ModuleError(f"--index {args.index} is outside [0, {len(hits)}) for this selection")
         _emit(hits[args.index].module.to_json(), args.out)
         return 0
     raise ModuleError(f"unknown module action {args.action!r}")
 
 
+def _read_module(path: str, group):
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ModuleError(f"module file {path} is not JSON: {exc}") from None
+    return module_from_json(data, group=group)
+
+
 def _cmd_orbits(args) -> int:
-    with open(args.module) as fh:
-        data = json.load(fh)
     group = _parse_group(args.group) if args.group else None
-    m = module_from_json(data, group=group)
+    m = _read_module(args.module, group)
     if args.action == "classify":
         report = covering_classify(m, r=args.r, s=args.s)
     else:
@@ -125,9 +135,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_extension(args) -> int:
-    g = _parse_group(args.group)
-    with open(args.module) as fh:
-        m = module_from_json(json.load(fh), group=g)
+    m = _read_module(args.module, _parse_group(args.group))
     ds = semidirect_degrees(m)
     graph = graph_from_degrees(ds)
     payload = {
@@ -152,13 +160,22 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.status == "pass" for r in results) else 1
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"a seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chardeg",
         description="Exact toolkit for degree prime graphs of SL2(q) and its module extensions",
     )
-    env_seed = os.environ.get("CHARDEG_SEED")
-    default_seed = int(env_seed) if env_seed and env_seed.isdigit() else 42
+    env_seed = os.environ.get("CHARDEG_SEED", "")
+    try:
+        default_seed = _seed(env_seed) if env_seed else 42
+    except argparse.ArgumentTypeError as exc:
+        ap.error(f"CHARDEG_SEED: {exc}")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build and analyze a degree prime graph")
@@ -182,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faithful", action="store_true", default=None)
     p.add_argument("--ell", type=int)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_module)
 
@@ -214,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance harness")
     p.add_argument("--suite", choices=list(SUITES), default="all")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify)
     ap.subcommand_parsers = dict(sub.choices)
@@ -242,10 +259,10 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
+        ap = build_parser()
         argv = _apply_config(ap, list(argv))
         args = ap.parse_args(argv)
     except SystemExit as exc:

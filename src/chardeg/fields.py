@@ -2,15 +2,16 @@
 
 A scalar is an integer index in [0, p^k): the base-p digits of the index
 are the coefficients of the residue polynomial, constant term first.  For
-prime fields the index is just the residue.  Fields of order up to 1024
-carry full add/mul lookup tables so that vectorized numpy code can work
-directly on index arrays.
+prime fields the index is just the residue and arithmetic is mod p.  An
+extension field has order at most TABLE_LIMIT, and its add/mul/neg/inv
+lookup tables are its only arithmetic: the scalar methods read them, and
+vectorized numpy code indexes them with whole arrays.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,32 +31,6 @@ def _poly_from_index(idx: int, p: int, k: int) -> list[int]:
         coeffs.append(idx % p)
         idx //= p
     return coeffs
-
-
-def _index_from_poly(coeffs: list[int], p: int) -> int:
-    idx = 0
-    for c in reversed(coeffs):
-        idx = idx * p + c
-    return idx
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    out = prod[:k]
-    out += [0] * (k - len(out))
-    return out
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
@@ -90,7 +65,6 @@ class Field:
     p: int
     k: int
     modulus: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -105,15 +79,12 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        pa = _poly_from_index(a, self.p, self.k)
-        pb = _poly_from_index(b, self.p, self.k)
-        return _index_from_poly([(x + y) % self.p for x, y in zip(pa, pb)], self.p)
+        return int(self.tables[0][a, b])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        pa = _poly_from_index(a, self.p, self.k)
-        return _index_from_poly([(-x) % self.p for x in pa], self.p)
+        return int(self.tables[2][a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -121,9 +92,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        pa = _poly_from_index(a, self.p, self.k)
-        pb = _poly_from_index(b, self.p, self.k)
-        return _index_from_poly(_poly_mul_mod(pa, pb, self.modulus, self.p), self.p)
+        return int(self.tables[1][a, b])
 
     def power(self, a: int, n: int) -> int:
         if n < 0:
@@ -141,7 +110,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self.power(a, self.order - 2)
+        return int(self.tables[3][a])
 
     @functools.cached_property
     def generator(self) -> int:
@@ -155,39 +124,36 @@ class Field:
 
     # -- lookup tables for vectorized index arithmetic -----------------------
 
-    def _build_tables(self) -> None:
-        q = self.order
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 (add, mul, neg, inv) tables over all indices; inv[0] = 0.
+
+        One vectorized polynomial product: the digit rows of every index,
+        their pairwise convolution, then a top-down reduction of the
+        product coefficients by the monic modulus.
+        """
+        p, k, q = self.p, self.k, self.order
         if q > TABLE_LIMIT:
             raise FieldError(f"field of order {q} exceeds the table limit {TABLE_LIMIT}")
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = self.add(a, b)
-                mul[a, b] = self.mul(a, b)
-        neg = np.array([self.neg(a) for a in range(q)], dtype=np.int64)
-        inv = np.array([0] + [self.inv(a) for a in range(1, q)], dtype=np.int64)
+        weights = p ** np.arange(k)
+        digits = np.arange(q) // weights[:, None] % p  # k x q, constant term first
+        add = np.tensordot(weights, (digits[:, :, None] + digits[:, None]) % p, 1)
+        neg = weights @ ((-digits) % p)
+        prod = np.zeros((2 * k - 1, q, q), dtype=np.int64)
+        for i in range(k):
+            prod[i : i + k] += digits[i, :, None] * digits[:, None]
+        prod %= p
+        low = np.asarray(self.modulus[:k])[:, None, None]
+        for i in range(2 * k - 2, k - 1, -1):
+            prod[i - k : i] = (prod[i - k : i] - prod[i] * low) % p
+        mul = np.tensordot(weights, prod[:k], 1)
+        inv = np.argmax(mul == 1, axis=1)
         for arr in (add, mul, neg, inv):
             arr.flags.writeable = False
-        self._cache["tables"] = (add, mul, neg, inv)
-
-    @property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if "tables" not in self._cache:
-            self._build_tables()
-        return self._cache["tables"]
+        return add, mul, neg, inv
 
     def to_json(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
 
 
 def field_make(p: int, k: int = 1) -> Field:
@@ -196,6 +162,7 @@ def field_make(p: int, k: int = 1) -> Field:
     The modulus is the monic irreducible of degree k whose non-leading
     coefficient vector, read as a base-p integer (constant term least
     significant), is minimal.  Prime fields get the degenerate modulus x.
+    An extension field must fit its lookup tables (order <= TABLE_LIMIT).
     Results are cached, so equal parameters give the identical object.
     """
     return _field_make(int(p), int(k))
@@ -207,8 +174,9 @@ def _field_make(p: int, k: int) -> Field:
         raise FieldError(f"{p} is not prime")
     if k < 1:
         raise FieldError("extension degree must be >= 1")
-    if p**k > MAX_ORDER:
-        raise FieldError(f"field order {p}^{k} exceeds the cap {MAX_ORDER}")
+    cap = MAX_ORDER if k == 1 else TABLE_LIMIT
+    if p**k > cap:
+        raise FieldError(f"field order {p}^{k} exceeds the cap {cap}")
     if k == 1:
         return Field(p, 1, (0, 1))
     for idx in range(p**k):

@@ -1,10 +1,11 @@
-"""Field-generic exact linear algebra: rref, nullspace, inverse and subspaces.
+"""Prime-field echelon layer: rref, nullspace, inverse and subspaces.
 
-Matrices are plain numpy int64 arrays of scalar indices over the fields of
-:mod:`chardeg.fields`; every function takes the field as its first
-argument.  Prime fields reduce through kernels.rref_prime, extension
-fields on the precomputed lookup tables.  Matrix arithmetic over a prime
-field is plain numpy mod p at the call site.
+Matrices are plain numpy int64 arrays of residues mod p; every function
+takes the field as its first argument and reduces through
+kernels.rref_prime.  An extension field raises FieldError: modules are
+prime-field only, and the groups' extension fields do their arithmetic
+through Field.tables.  Matrix products are plain numpy mod p at the call
+site.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chardeg import kernels
-from chardeg.fields import Field
+from chardeg.fields import Field, FieldError
 
 
 def as_matrix(data) -> np.ndarray:
@@ -36,36 +37,14 @@ class RrefResult:
 
 
 def rref(F: Field, A) -> RrefResult:
-    """Reduced row echelon form; idempotent on its own output."""
+    """Reduced row echelon form over a prime field; idempotent on its own output."""
+    if not F.is_prime_field:
+        raise FieldError(f"row reduction is prime-field only, not over F_{F.p}^{F.k}")
     A = as_matrix(A)
     if A.size == 0:
         return RrefResult(0, A.copy(), ())
-    if F.is_prime_field:
-        R, piv = kernels.rref_prime(A, F.p)
-        return RrefResult(len(piv), R, tuple(int(c) for c in piv))
-    add_t, mul_t, neg_t, inv_t = F.tables
-    R = A.copy()
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.flatnonzero(R[row:, col])
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            R[[row, pr]] = R[[pr, row]]
-        R[row] = mul_t[inv_t[R[row, col]], R[row]]
-        mask = R[:, col] != 0
-        mask[row] = False
-        if mask.any():
-            fac = neg_t[R[mask, col]]
-            R[mask] = add_t[R[mask], mul_t[fac[:, None], R[row][None, :]]]
-        pivots.append(col)
-        row += 1
-    return RrefResult(row, R, tuple(pivots))
+    R, piv = kernels.rref_prime(A, F.p)
+    return RrefResult(len(piv), R, tuple(int(c) for c in piv))
 
 
 def nullspace(F: Field, A) -> np.ndarray:
@@ -77,10 +56,8 @@ def nullspace(F: Field, A) -> np.ndarray:
     if not free:
         return np.zeros((0, n), dtype=np.int64)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for prow, pcol in enumerate(res.pivots):
-            basis[i, pcol] = F.neg(int(res.reduced[prow, f]))
+    basis[range(len(free)), free] = 1
+    basis[:, list(res.pivots)] = (-res.reduced[: res.rank, free].T) % F.p
     return rref(F, basis).reduced[: len(free)]
 
 
@@ -118,13 +95,6 @@ class Subspace:
 
     def contains(self, v: np.ndarray) -> bool:
         return row_space_contains(self.field, self.basis, np.asarray(v, dtype=np.int64))
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "ambient_dim": self.ambient_dim,
-            "basis": [[int(x) for x in row] for row in self.basis],
-        }
 
 
 def kernel(F: Field, A) -> Subspace:

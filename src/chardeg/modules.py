@@ -133,12 +133,17 @@ class GModule:
 
 
 def module_from_json(data: dict, group: GroupTable | None = None) -> GModule:
-    if group is None:
-        group = group_from_json(data["group"])
-    F = field_from_json(data["field"])
-    d = int(data["dim"])
+    try:
+        if group is None:
+            group = group_from_json(data["group"])
+        F = field_from_json(data["field"])
+        d, flats = data["dim"], data["gen_images"]
+    except (KeyError, TypeError) as exc:
+        raise ModuleError(f"malformed module data ({type(exc).__name__}: {exc})") from None
+    if type(d) is not int or d < 1 or not isinstance(flats, list):
+        raise ModuleError("module dim must be a positive integer and gen_images a list")
     imgs = []
-    for flat in data["gen_images"]:
+    for flat in flats:
         if not isinstance(flat, list) or any(type(x) is not int for x in flat):
             raise ModuleError("a generator image must be a flat list of integers")
         if len(flat) != d * d:
@@ -371,25 +376,30 @@ def _meataxe_step(m: GModule, rng):
 
 
 def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
-    """Restriction to an invariant subspace and the quotient action."""
-    F, d = m.field, m.dim
+    """Restriction to an invariant subspace and the quotient action.
+
+    With W the RREF basis of the subspace, pivots piv and the other
+    columns comp, the sub action is S = (A W^T)[piv] and the quotient
+    action on the coordinates comp is A[comp, comp] - W[:, comp]^T A[piv, comp]:
+    the blocks of A in the basis (columns of W^T, then the unit vectors of
+    comp).  The subspace is invariant iff A W^T == W^T S.
+    """
+    F, d, p = m.field, m.dim, m.field.p
     res = rref(F, basis_rows)
     w = res.rank
     if not 0 < w < d:
         raise ModuleError("split needs a proper nonzero subspace")
+    W = res.reduced[:w]
+    piv = list(res.pivots)
     comp = [c for c in range(d) if c not in res.pivots]
-    C = np.zeros((d, d), dtype=np.int64)
-    C[:, :w] = res.reduced[:w].T
-    for j, c in enumerate(comp):
-        C[c, w + j] = 1
-    Ci = mat_inv(F, C)
     subs, quots = [], []
-    for M in m.gen_images:
-        Mp = (Ci @ M % F.p) @ C % F.p
-        if Mp[w:, :w].any():
+    for A in m.gen_images:
+        AWt = A @ W.T % p
+        S = AWt[piv]
+        if not np.array_equal(AWt, W.T @ S % p):
             raise ModuleError("subspace is not invariant")
-        subs.append(Mp[:w, :w].copy())
-        quots.append(Mp[w:, w:].copy())
+        subs.append(S)
+        quots.append((A[np.ix_(comp, comp)] - W[:, comp].T @ A[np.ix_(piv, comp)]) % p)
     return (
         GModule(m.group, F, subs, check=False),
         GModule(m.group, F, quots, check=False),

@@ -373,13 +373,7 @@ def check_chop_dimension_conservation(h: Harness):
         candidates = [entry for qq, rr, entry in pool if qq == q and rr == r]
         e2 = candidates[int(rng.integers(len(candidates)))]
         prod = tensor(e.module, e2.module)
-        try:
-            factors = chop(prod, seed=int(rng.integers(1 << 30)))
-        except InconclusiveError:
-            return {"instances": 100, "failures": []}, {
-                "instances": n,
-                "failures": ["inconclusive"],
-            }
+        factors = chop(prod, seed=int(rng.integers(1 << 30)))
         n += 1
         if sum(f.dim for f in factors) != prod.dim:
             failures.append([q, r, e.dim, e2.dim])
@@ -388,7 +382,7 @@ def check_chop_dimension_conservation(h: Harness):
 
 def check_rank_nullity(h: Harness):
     rng = np.random.default_rng(h.seed)
-    fields = [field_make(2), field_make(3), field_make(5), field_make(7), field_make(2, 2), field_make(3, 2)]
+    fields = [field_make(p) for p in (2, 3, 5, 7, 11, 13)]
     failures = []
     n = 0
     for _ in range(100):

@@ -73,36 +73,83 @@ def test_extension_command(tmp_path, capsys):
     assert sorted(map(sorted, data["analysis"]["components"])) == [[2, 3], [5]]
 
 
+def _drop(key):
+    def edit(data):
+        del data[key]
+
+    return edit
+
+
+def _set_entry(value):
+    def edit(data):
+        image = data["gen_images"][0]
+        image[image.index(1)] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (6, "outside [0, 5)"),
-        (-4, "outside [0, 5)"),
-        (None, "needs 4 entries, not 3"),
-        (1.7, "flat list of integers"),
-        ("1", "flat list of integers"),
+        (_set_entry(6), "outside [0, 5)"),
+        (_set_entry(-4), "outside [0, 5)"),
+        (lambda data: data["gen_images"][0].pop(), "needs 4 entries, not 3"),
+        (_set_entry(1.7), "flat list of integers"),
+        (_set_entry("1"), "flat list of integers"),
+        (_drop("dim"), "malformed module data (KeyError: 'dim')"),
+        (_drop("field"), "malformed module data (KeyError: 'field')"),
+        (_drop("gen_images"), "malformed module data (KeyError: 'gen_images')"),
+        (lambda data: data.update(dim="2"), "dim must be a positive integer"),
+        (lambda data: data["field"].pop("k"), "malformed module data (KeyError: 'k')"),
+        ("{not json", "is not JSON"),
+        ("[1, 2]", "malformed module data (TypeError: "),
     ],
-    ids=["entry-6", "entry-minus-4", "image-one-short", "entry-float", "entry-string"],
+    ids=[
+        "entry-6",
+        "entry-minus-4",
+        "image-one-short",
+        "entry-float",
+        "entry-string",
+        "no-dim",
+        "no-field",
+        "no-gen-images",
+        "dim-string",
+        "field-no-k",
+        "not-json",
+        "json-list",
+    ],
 )
 def test_malformed_module_file_is_a_module_error(tmp_path, capsys, edit, message):
     """A module file edited by hand: an entry that only agrees with a valid
-    one mod 5 or after int(), or an image a value short, is refused as a
-    ModuleError (exit 2)."""
+    one mod 5 or after int(), an image a value short, a missing key, or a
+    file that is not a JSON object, is refused as a ModuleError (exit 2)."""
     nat = tmp_path / "nat.json"
     assert run_cli(capsys, "module", "natural", "--group", "sl2:5", "--out", str(nat))[0] == 0
-    data = json.loads(nat.read_text())
-    image = data["gen_images"][0]
-    if edit is None:
-        image.pop()
-    else:
-        image[image.index(1)] = edit
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    if isinstance(edit, str):
+        bad.write_text(edit)
+    else:
+        data = json.loads(nat.read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
     for argv in (["orbits", "decompose", "--module", str(bad)], ["extension", "--group", "sl2:5", "--module", str(bad)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_module_select_index_out_of_range_is_a_module_error(capsys):
+    """The sl2:4/F3 catalog below dim 8 has one 4-dim entry: --index 0 picks
+    it, while 1 and -1 are refused (exit 2) instead of raising or picking
+    from the end."""
+    argv = ["module", "select", "--group", "sl2:4", "--char", "3", "--cap", "8", "--dim", "4"]
+    assert run_cli(capsys, *argv, "--index", "0")[0] == 0
+    for index in ("1", "-1"):
+        assert main([*argv, "--index", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --index {index} is outside [0, 1) for this selection\n"
 
 
 def test_extension_command_with_non_abelian_stabilizers(tmp_path, capsys):
@@ -175,6 +222,28 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
 
 
+def test_verify_spent_chop_budget_is_inconclusive(monkeypatch, tmp_path):
+    """chop-dimension-conservation leaves InconclusiveError to run_checks, so
+    a spent chop budget is reported as inconclusive (exit 3), not fail."""
+    import chardeg.verify as verify
+    from chardeg.modules import InconclusiveError
+
+    def spent(m, seed=42):
+        raise InconclusiveError("budget spent on purpose")
+
+    monkeypatch.setattr(verify, "chop", spent)
+    monkeypatch.setattr(verify, "CATALOG_SPECS", ((4, 2, 8), (4, 3, 8)))
+    monkeypatch.setattr(
+        verify, "CHECKS", tuple(c for c in verify.CHECKS if c[0] == "chop-dimension-conservation")
+    )
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "modules", "--out", str(out_file)]) == 3
+    report = json.loads(out_file.read_text())
+    (check,) = report["checks"]
+    assert (check["status"], check["observed"]) == ("inconclusive", "budget spent on purpose")
+    assert (report["passed"], report["failed"], report["inconclusive"]) == (0, 0, 1)
+
+
 def test_verify_isolates_a_failed_orbit_stabilizer_identity(monkeypatch, tmp_path):
     import chardeg.orbits as orbits
     import chardeg.verify as verify
@@ -220,6 +289,22 @@ def test_env_seed_fallback(monkeypatch, capsys):
 
     args = build_parser().parse_args(["verify", "--suite", "ledgers"])
     assert args.seed == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "4.5", "\u00b2"])
+def test_seed_must_be_a_non_negative_integer(monkeypatch, capsys, value):
+    """Through CHARDEG_SEED or --seed, a seed that is not a non-negative
+    integer is a usage error (exit 2), not a silent 42 or a traceback."""
+    message = f"a seed must be a non-negative integer, got {value!r}"
+    monkeypatch.setenv("CHARDEG_SEED", value)
+    assert main(["verify", "--suite", "ledgers"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"CHARDEG_SEED: {message}" in captured.err
+    monkeypatch.delenv("CHARDEG_SEED")
+    for argv in (["verify", "--suite", "graphs"], ["module", "catalog", "--group", "sl2:4", "--char", "3"]):
+        assert main([*argv, "--seed", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument --seed: {message}" in captured.err
 
 
 def test_verify_seed_independent_outcomes(capsys, tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chardeg.fields import FieldError, field_from_json, field_make
+from chardeg.fields import TABLE_LIMIT, FieldError, field_from_json, field_make
+from chardeg.numtheory import prime_power_split, prime_powers
 
 
 def test_prime_field_modulus_convention():
@@ -33,6 +34,9 @@ def test_field_make_rejects_bad_input():
         field_make(2, 0)
     with pytest.raises(FieldError):
         field_make(2, 21)  # order 2^21 over the cap
+    with pytest.raises(FieldError):
+        field_make(2, 11)  # an extension field past its lookup tables
+    assert field_make(2, 10).order == TABLE_LIMIT
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 4)])
@@ -88,3 +92,61 @@ def test_json_round_trip():
     assert field_from_json(F.to_json()) is F
     with pytest.raises(FieldError):
         field_from_json({"p": 3, "k": 2, "modulus": [2, 0, 1]})
+
+
+# -- oracle: per-call polynomial arithmetic on coefficient lists ---------------
+
+
+def _digits(idx, p, k):
+    return [idx // p**i % p for i in range(k)]
+
+
+def _index(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        for j in range(k):
+            prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+    return prod[:k]
+
+
+def _oracle_tables(F):
+    p, k, q = F.p, F.k, F.order
+    digits = [_digits(a, p, k) for a in range(q)]
+    add = [[_index([(x + y) % p for x, y in zip(da, db)], p) for db in digits] for da in digits]
+    mul = [[_index(_poly_mul_mod(da, db, F.modulus, p), p) for db in digits] for da in digits]
+    neg = [_index([(-x) % p for x in da], p) for da in digits]
+
+    def power(a, n):
+        out = 1
+        for _ in range(n):
+            out = mul[out][a]
+        return out
+
+    inv = [0] + [power(a, q - 2) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", prime_powers(2, 128))
+def test_tables_and_scalars_match_polynomial_arithmetic(q):
+    """Every table entry, and every scalar operation, against coefficient-list
+    polynomial arithmetic mod the field's modulus."""
+    F = field_make(*prime_power_split(q))
+    expected = _oracle_tables(F)
+    for table, want in zip(F.tables, expected):
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == want
+    add, mul, neg, inv = expected
+    rng = np.random.default_rng(q)
+    for a, b in rng.integers(0, q, size=(200, 2)).tolist():
+        assert (F.add(a, b), F.mul(a, b), F.neg(a), F.sub(a, b)) == (add[a][b], mul[a][b], neg[a], add[a][neg[b]])
+        if a:
+            assert F.inv(a) == inv[a]

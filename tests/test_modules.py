@@ -13,7 +13,7 @@ from chardeg.groups import (
     trivial_subgroup,
     whole_group,
 )
-from chardeg.linalg import identity_matrix
+from chardeg.linalg import identity_matrix, mat_inv, rref
 from chardeg.numtheory import prime_divisors
 from chardeg.modules import (
     ModuleError,
@@ -169,6 +169,53 @@ def _bruteforce_composition_dims(m):
         current = best
         current_rank = best.shape[0]
     return dims
+
+
+def _split_by_change_of_basis(m, basis_rows):
+    """Oracle: the blocks of C^-1 A C, where C holds the RREF basis rows as
+    its first columns and the unit vectors of the non-pivot columns after."""
+    F, d, p = m.field, m.dim, m.field.p
+    res = rref(F, basis_rows)
+    w = res.rank
+    comp = [c for c in range(d) if c not in res.pivots]
+    C = np.zeros((d, d), dtype=np.int64)
+    C[:, :w] = res.reduced[:w].T
+    for j, c in enumerate(comp):
+        C[c, w + j] = 1
+    Ci = mat_inv(F, C)
+    blocks = [(Ci @ A % p) @ C % p for A in m.gen_images]
+    invariant = not any(B[w:, :w].any() for B in blocks)
+    return invariant, [B[:w, :w] for B in blocks], [B[w:, w:] for B in blocks]
+
+
+@pytest.mark.parametrize("q,r", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_split_module_matches_change_of_basis(q, r, monkeypatch):
+    """Every split that chop makes of P1 (x) P1, and a random subspace of the
+    same dimension, against the change-of-basis blocks."""
+    import chardeg.modules as modules
+
+    real = modules.split_module
+    rng = np.random.default_rng(q * r)
+    splits = []
+
+    def checked(m, basis_rows):
+        sub, quot = real(m, basis_rows)
+        invariant, subs, quots = _split_by_change_of_basis(m, basis_rows)
+        assert invariant
+        for got, want in zip(sub.gen_images + quot.gen_images, subs + quots):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        other = rng.integers(0, r, size=basis_rows.shape).astype(np.int64)
+        if 0 < rref(m.field, other).rank < m.dim and not _split_by_change_of_basis(m, other)[0]:
+            with pytest.raises(ModuleError, match="not invariant"):
+                real(m, other)
+        splits.append(m.dim)
+        return sub, quot
+
+    monkeypatch.setattr(modules, "split_module", checked)
+    p1 = perm_module(sl2_group(q), "projective-points", r)
+    factors = chop(tensor(p1, p1), seed=7)
+    assert sum(f.dim for f in factors) == (q + 1) ** 2
+    assert len(splits) == len(factors) - 1
 
 
 def test_chop_dimension_sum(g5):
