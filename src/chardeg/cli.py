@@ -238,23 +238,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class UsageError(Exception):
+    """A command line or config file that cannot be used (exit 2)."""
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Strip --config FILE from argv and install its keys as defaults.
 
-    Config keys mirror flag names; explicit flags always win.
+    Config keys mirror flag names; explicit flags always win.  A value for
+    a flag with a type converter is installed as its string, which argparse
+    converts like the flag's own argument, so a bad value is refused alike.
     """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
-        raise FileNotFoundError("--config needs a file path")
-    with open(argv[i + 1]) as fh:
-        conf = json.load(fh)
+        raise UsageError("--config needs a file path")
+    path = argv[i + 1]
+    with open(path) as fh:
+        try:
+            conf = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(conf, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
     defaults = {str(k).replace("-", "_"): v for k, v in conf.items()}
     ap.set_defaults(**defaults)
     for p in ap.subcommand_parsers.values():
-        known = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        typed = {a.dest: a.type is not None for a in p._actions}
+        p.set_defaults(**{k: str(v) if typed[k] else v for k, v in defaults.items() if k in typed})
     return argv[:i] + argv[i + 2 :]
 
 
@@ -267,7 +279,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

@@ -223,8 +223,19 @@ def group_from_json(data: dict) -> GroupTable:
     from chardeg.fields import field_from_json
 
     F = field_from_json(data["field"])
-    gens = np.asarray(data["generators"], dtype=np.int64).reshape(-1, 2, 2)
-    return GroupTable(F, gens)
+    flats = data["generators"]
+    if (
+        not isinstance(flats, list)
+        or not flats
+        or any(not isinstance(g, list) or len(g) != 4 or any(type(x) is not int for x in g) for g in flats)
+    ):
+        raise GroupError("group generators must be a non-empty list of 4-entry integer lists")
+    for a, b, c, d in flats:
+        if any(not 0 <= x < F.order for x in (a, b, c, d)):
+            raise GroupError(f"group generator entry outside [0, {F.order})")
+        if F.sub(F.mul(a, d), F.mul(b, c)) != 1:
+            raise GroupError(f"group generator {[a, b, c, d]} does not have determinant 1")
+    return GroupTable(F, np.asarray(flats, dtype=np.int64).reshape(-1, 2, 2))
 
 
 def sl2_group(q: int) -> GroupTable:

@@ -139,6 +139,43 @@ def test_malformed_module_file_is_a_module_error(tmp_path, capsys, edit, message
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+def _set_generators(edit):
+    def apply(data):
+        edit(data["group"]["generators"])
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set_generators(lambda gens: gens.__setitem__(slice(None), [[1, 2, 3]])), "4-entry integer lists"),
+        (_set_generators(lambda gens: gens.clear()), "non-empty list"),
+        (_set_generators(lambda gens: gens[0].__setitem__(1, 1.0)), "4-entry integer lists"),
+        (_set_generators(lambda gens: gens[0].__setitem__(1, 5)), "entry outside [0, 5)"),
+        (_set_generators(lambda gens: gens[0].__setitem__(1, -4)), "entry outside [0, 5)"),
+        (_set_generators(lambda gens: gens[0].__setitem__(2, 1)), "[1, 1, 1, 1] does not have determinant 1"),
+        (_set_generators(lambda gens: gens.__setitem__(0, [2, 0, 0, 2])), "[2, 0, 0, 2] does not have determinant 1"),
+    ],
+    ids=["three-entries", "no-generators", "entry-float", "entry-5", "entry-minus-4", "det-0", "det-4"],
+)
+def test_malformed_group_generators_are_a_group_error(tmp_path, capsys, edit, message):
+    """A module file whose stored group has a generator of the wrong shape,
+    an entry outside the field or a determinant other than 1 is refused
+    as a GroupError (exit 2) when the group is read from the file."""
+    nat = tmp_path / "nat.json"
+    assert run_cli(capsys, "module", "natural", "--group", "sl2:5", "--out", str(nat))[0] == 0
+    data = json.loads(nat.read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["orbits", "decompose", "--module", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_module_select_index_out_of_range_is_a_module_error(capsys):
     """The sl2:4/F3 catalog below dim 8 has one 4-dim entry: --index 0 picks
     it, while 1 and -1 are refused (exit 2) instead of raising or picking
@@ -281,6 +318,41 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     code, out = run_cli(capsys, "--config", str(conf), "graph", "--q", "13")
     assert code == 0
     assert json.loads(out)["graph"]["vertices"] == [2, 3, 7, 13]
+
+
+def test_config_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    for text, message in (("{bad", "is not JSON"), ("[1, 2]", "must hold a JSON object")):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        assert main(["--config", str(conf), "graph", "--degrees", "1,6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {conf} ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
+    """A config value is converted by its flag's type: a seed of -1 is refused
+    exactly as --seed -1 is, and 7 or "7" become the integer 7."""
+    from chardeg.cli import _apply_config, build_parser
+
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -1}))
+    assert main(["--config", str(conf), "verify", "--suite", "ledgers"]) == 2
+    from_config = capsys.readouterr()
+    assert main(["verify", "--suite", "ledgers", "--seed", "-1"]) == 2
+    from_flag = capsys.readouterr()
+    assert from_config.out == from_flag.out == ""
+    assert from_config.err == from_flag.err
+    assert "argument --seed: a seed must be a non-negative integer, got '-1'" in from_config.err
+    for value in (7, "7"):
+        conf.write_text(json.dumps({"seed": value, "q": "13", "family": "psl2"}))
+        ap = build_parser()
+        args = ap.parse_args(_apply_config(ap, ["--config", str(conf), "verify"]))
+        assert args.seed == 7
+        ap = build_parser()
+        args = ap.parse_args(_apply_config(ap, ["--config", str(conf), "graph"]))
+        assert (args.q, args.family) == (13, "psl2")
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -493,3 +493,89 @@ def test_hom_space_dim_matches_exhaustive_intertwiners(p):
         dims.append(hom_space_dim(m1, m2))
         assert _count_intertwiners(m1, m2) == p ** dims[-1]
     assert max(dims) > 0
+
+
+# -- the standard-basis Hom solve against the Kronecker nullspace ---------------
+
+
+def _kronecker_hom_dim(m1, m2):
+    """dim Hom(m1, m2) as the nullspace of the (d1 d2)-unknown Kronecker system."""
+    from chardeg.modules import _hom_basis
+
+    pairs = zip(m1.gen_images, m2.gen_images)
+    return int(_hom_basis(m1.field, pairs, m1.dim, m2.dim).shape[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _hom_families(p):
+    """Lists of modules over F_p on one group each: catalog irreducibles with
+    ell 1 and 2, a permutation module, a tensor product and a direct sum m + m."""
+    if p == 5:
+        g = sl2_group(5)
+        nat = natural_restricted(5, g)
+        first = [e.module for e in irreducible_catalog(g, 5, 8).entries]
+        first += [dual(nat), perm_module(g, "projective-points", 5), tensor(nat, nat), _direct_sum(nat, nat)]
+        g = sl2_group(7)
+        second = [e.module for e in irreducible_catalog(g, 5, 8).entries]
+        six = [m for m in second if m.dim == 6]
+        second += [perm_module(g, "projective-points", 5), _direct_sum(six[-1], six[-1])]
+        return (first, second)
+    g = sl2_group(4)
+    irr = [e.module for e in irreducible_catalog(g, p, 8).entries]
+    big = irr[-1]
+    mods = irr + [perm_module(g, "projective-points", p), tensor(irr[1], big), _direct_sum(big, big)]
+    if p == 2:
+        mods.append(natural_restricted(4, g))
+    return (mods,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_space_dim_matches_kronecker_oracle(p):
+    """Every ordered pair of each family (both argument orders), with the
+    Kronecker system small enough to solve: hom_space_dim, endo_dim and
+    is_isomorphic against the oracle.  The pairs cover zero and nonzero
+    Hom, unequal dimensions, ell 1 and 2, and a first argument that needs
+    more than one seed."""
+    from chardeg.modules import _standard_basis
+
+    seen = set()
+    for mods in _hom_families(p):
+        for m in mods:
+            assert endo_dim(m) == _kronecker_hom_dim(m, m)
+            seen.add(("ell", endo_dim(m)))
+        for m1, m2 in itertools.product(mods, mods):
+            if m1.dim * m2.dim > 400:
+                continue
+            want = _kronecker_hom_dim(m1, m2)
+            assert hom_space_dim(m1, m2) == want, (m1.dim, m2.dim)
+            assert is_isomorphic(m1, m2) == (m1.dim == m2.dim and want > 0)
+            seeds = sum(1 for parent, _ in _standard_basis(m1)[1] if parent < 0)
+            seen |= {("zero", want == 0), ("unequal", m1.dim != m2.dim), ("seeds", seeds > 1)}
+    for flag in ("zero", "unequal", "seeds"):
+        assert (flag, True) in seen and (flag, False) in seen
+    assert ("ell", 1) in seen and ("ell", 2) in seen
+
+
+def test_standard_basis_words_rebuild_the_basis(g5):
+    """Each basis vector is its parent imaged by its generator, the seeds are
+    the first unit vectors outside the span so far, and the rows are a basis."""
+    from chardeg.modules import _standard_basis
+
+    nat = natural_restricted(5, g5)
+    for m in (nat, _direct_sum(nat, nat), _direct_sum(trivial_module(g5, 5), nat), tensor(nat, nat)):
+        basis, tree = _standard_basis(m)
+        assert rref(m.field, basis).rank == m.dim
+        for j, (parent, g) in enumerate(tree):
+            if parent >= 0:
+                assert parent < j
+                assert np.array_equal(basis[j], m.gen_images[g] @ basis[parent] % 5)
+            else:
+                u = int(np.flatnonzero(basis[j])[0])
+                assert basis[j].sum() == 1 and basis[j, u] == 1
+                unit = identity_matrix(m.dim)
+                for v in range(u + 1):
+                    spanned = rref(m.field, np.concatenate([basis[:j], unit[v : v + 1]])).rank == j
+                    assert spanned == (v < u)
+        assert [g for parent, g in tree if parent < 0] == list(range(sum(1 for t in tree if t[0] < 0)))
+    doubled = _standard_basis(_direct_sum(nat, nat))[1]
+    assert [j for j, t in enumerate(doubled) if t[0] < 0] == [0, 2]
