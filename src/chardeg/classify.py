@@ -285,15 +285,6 @@ class TwoComponentResult:
     failed_conditions: tuple[str, ...]
     predicted_components: tuple[tuple[int, ...], ...] | None
 
-    def to_json(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "failed_conditions": list(self.failed_conditions),
-            "predicted_components": [list(c) for c in self.predicted_components]
-            if self.predicted_components
-            else None,
-        }
-
 
 def two_component_check(
     inp: TwoComponentInput, concrete_degrees: DegreeSet | None = None
@@ -340,12 +331,6 @@ def two_component_check(
 class ThreeVertexScan:
     pi_empty_list: tuple[int, ...]
     three_prime_list: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "pi_empty_list": list(self.pi_empty_list),
-            "three_prime_list": list(self.three_prime_list),
-        }
 
 
 def three_vertices_classify(bound: int) -> ThreeVertexScan:

@@ -57,8 +57,7 @@ def _parse_group(spec: str):
 
 def _cmd_graph(args) -> int:
     if args.degrees:
-        degrees = [int(x) for x in args.degrees.split(",")]
-        g = graph_from_degrees(degrees)
+        g = graph_from_degrees(args.degrees)
     elif args.family and args.q:
         g = graph_from_degrees(degree_set(args.family, args.q))
     else:
@@ -166,6 +165,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _degrees(text: str) -> list[int]:
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() and int(part) > 0 for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"degrees must be a comma-separated list of positive integers, got {text!r}"
+        )
+    return [int(part) for part in parts]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chardeg",
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build and analyze a degree prime graph")
-    p.add_argument("--degrees", help="comma-separated degree set, e.g. 1,6,15")
+    p.add_argument("--degrees", type=_degrees, help="comma-separated degree set, e.g. 1,6,15")
     p.add_argument("--family", choices=["psl2", "sl2", "pgl2"])
     p.add_argument("--q", type=int)
     p.add_argument("--out")
@@ -270,6 +278,19 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     return argv[:i] + argv[i + 2 :]
 
 
+def _check_choices(p: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse a value outside a flag's choices.
+
+    argparse checks choices only on the command line, so a value that fails
+    here came from a config file.
+    """
+    for a in p._actions:
+        value = getattr(args, a.dest, None)
+        if a.choices is not None and value is not None and value not in a.choices:
+            choices = ", ".join(map(repr, a.choices))
+            raise UsageError(f"config key {a.dest!r}: invalid choice {value!r} (choose from {choices})")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -277,6 +298,7 @@ def main(argv=None) -> int:
         ap = build_parser()
         argv = _apply_config(ap, list(argv))
         args = ap.parse_args(argv)
+        _check_choices(ap.subcommand_parsers[args.command], args)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (FileNotFoundError, UsageError) as exc:

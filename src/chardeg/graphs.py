@@ -20,10 +20,10 @@ class DegreeSetError(ValueError):
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """Set of character degrees, optionally with multiplicities."""
+    """Set of character degrees with their multiplicities."""
 
     degrees: frozenset[int]
-    multiplicities: tuple[tuple[int, int], ...] | None = None
+    multiplicities: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if 1 not in self.degrees:
@@ -34,16 +34,10 @@ class DegreeSet:
         clean = {d: m for d, m in sorted(mult.items()) if m > 0}
         return cls(frozenset(clean), tuple(clean.items()))
 
-    @classmethod
-    def from_degrees(cls, degrees) -> DegreeSet:
-        return cls(frozenset(int(d) for d in degrees))
-
     def as_sorted(self) -> list[int]:
         return sorted(self.degrees)
 
     def sum_of_squares(self) -> int:
-        if self.multiplicities is None:
-            raise DegreeSetError("no multiplicity data")
         return sum(m * d * d for d, m in self.multiplicities)
 
 

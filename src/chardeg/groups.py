@@ -63,7 +63,6 @@ class GroupTable:
 
     def __init__(self, field: Field, gens: np.ndarray):
         self.field = field
-        self.dim = 2
         self.gens = np.ascontiguousarray(gens, dtype=np.int64)
         self._close()
 
@@ -121,9 +120,6 @@ class GroupTable:
     @property
     def order(self) -> int:
         return int(self.elems.shape[0])
-
-    def __len__(self) -> int:
-        return self.order
 
     def index_of(self, mat: np.ndarray) -> int:
         return self.key_index[self._key(np.asarray(mat, dtype=np.int64))]
@@ -277,14 +273,10 @@ class Subgroup:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
-        object.__setattr__(self, "_member_set", frozenset(self.members))
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self._member_set
 
     def generating_set(self) -> tuple[int, ...]:
         if self.gens:
@@ -304,26 +296,19 @@ class Subgroup:
 
 
 def _close_indices(group: GroupTable, gen_positions) -> list[int]:
+    """Closure of the identity under right multiplication by the generators.
+
+    In a finite group every inverse is a positive power, so this is the
+    generated subgroup.
+    """
     members = {0}
     queue = [0]
-    gen_positions = [g for g in gen_positions if g != 0]
-    for g in gen_positions:
-        if g not in members:
-            members.add(g)
-            queue.append(g)
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        pos += 1
+    for x in queue:
         for g in gen_positions:
             y = group.mult(x, g)
             if y not in members:
                 members.add(y)
                 queue.append(y)
-            z = group.mult(g, x)
-            if z not in members:
-                members.add(z)
-                queue.append(z)
     return sorted(members)
 
 
@@ -338,20 +323,6 @@ def trivial_subgroup(group: GroupTable) -> Subgroup:
 
 def whole_group(group: GroupTable) -> Subgroup:
     return Subgroup(group, tuple(range(group.order)))
-
-
-def is_abelian(sub: Subgroup) -> bool:
-    g = sub.parent
-    gens = sub.generating_set()
-    return all(g.mult(a, b) == g.mult(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
-
-
-def cyclic_generator(sub: Subgroup) -> int | None:
-    orders = sub.parent.element_orders
-    for m in sub.members:
-        if orders[m] == sub.order:
-            return m
-    return None
 
 
 def sylow(group: GroupTable, p: int, seed: int = 42) -> Subgroup:
@@ -417,25 +388,6 @@ def sylow_char_subgroups(group: GroupTable) -> list[Subgroup]:
         raise GroupError("a nontrivial t-element must fix exactly one projective point")
     point_of = fixed.argmax(axis=1)
     return [Subgroup(group, (0, *t_elems[point_of == j].tolist())) for j in range(len(points))]
-
-
-def normalizer(group: GroupTable, sub: Subgroup) -> Subgroup:
-    """{x : sub^x = sub}, by brute force over all elements."""
-    F = group.field
-    gens = sub.generating_set()
-    if not gens:
-        return whole_group(group)
-    n = group.order
-    member_mask = np.zeros(n, dtype=bool)
-    member_mask[list(sub.members)] = True
-    ok = np.ones(n, dtype=bool)
-    inv_mats = group.elems[group.inverse]
-    for s in gens:
-        smat = group.elems[s]
-        conj = _batch_mul(F, _batch_mul(F, inv_mats, smat), group.elems)
-        idx = group.indices_of_matrices(conj)
-        ok &= member_mask[idx]
-    return Subgroup(group, tuple(int(i) for i in np.flatnonzero(ok)))
 
 
 def count_normalized_sylow(group: GroupTable, r_sub: Subgroup, t: int) -> int:

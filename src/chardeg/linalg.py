@@ -73,11 +73,6 @@ def mat_inv(F: Field, A: np.ndarray) -> np.ndarray:
     return res.reduced[:, n:].copy()
 
 
-def row_space_contains(F: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
-    """Membership test: appending v to a row basis leaves the rank unchanged."""
-    return rref(F, np.concatenate([basis_rref, v[None, :]])).rank == basis_rref.shape[0]
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Row space in reduced row echelon form over a fixed field."""
@@ -92,9 +87,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return int(self.basis.shape[0])
-
-    def contains(self, v: np.ndarray) -> bool:
-        return row_space_contains(self.field, self.basis, np.asarray(v, dtype=np.int64))
 
 
 def kernel(F: Field, A) -> Subspace:

@@ -23,7 +23,6 @@ from chardeg.groups import (
     Subgroup,
     _power_index,
     group_from_json,
-    whole_group,
 )
 from chardeg.kernels import bfs_levels, orbit_labels, rref_prime
 from chardeg.linalg import Subspace, identity_matrix, mat_inv, nullspace, rref
@@ -136,6 +135,8 @@ def module_from_json(data: dict, group: GroupTable | None = None) -> GModule:
     try:
         if group is None:
             group = group_from_json(data["group"])
+        elif data["group"] != group.to_json():
+            raise ModuleError("the module was built for another group than the one given")
         F = field_from_json(data["field"])
         d, flats = data["dim"], data["gen_images"]
     except (KeyError, TypeError) as exc:
@@ -441,19 +442,6 @@ def chop(m: GModule, seed: int = 42) -> list[GModule]:
 # -- hom spaces, isomorphism, endomorphisms -------------------------------------
 
 
-def _hom_basis(F: Field, pairs, d1: int, d2: int) -> np.ndarray:
-    """Basis of {X : M2 X = X M1 for every pair (M1, M2)}, X a d2 x d1 matrix.
-
-    With X read row by row into a vector x, M2 X is kron(M2, I_d1) x and
-    X M1 is kron(I_d2, M1^T) x, so the space is the nullspace of the
-    stacked differences mod p.  Its d1 * d2 unknowns suit Hom from the
-    trivial module (fixed_subspace); hom_space_dim solves for seed images.
-    """
-    i1, i2 = identity_matrix(d1), identity_matrix(d2)
-    blocks = [(np.kron(M2, i1) - np.kron(i2, M1.T)) % F.p for M1, M2 in pairs]
-    return nullspace(F, np.concatenate(blocks, axis=0))
-
-
 def _standard_basis(m: GModule) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """A basis of m spun from the unit vectors e_0, e_1, ... as generator words.
 
@@ -508,7 +496,7 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
     X b_j = P_j w where P_j (d2 x s*d2) is b_j's generator word evaluated
     in m2.  With C = B^-1 M1 B for each generator, X intertwines exactly
     when M2 P_j - sum_k C[k, j] P_k = 0 for every j, a system in s * d2
-    unknowns rather than the d1 * d2 of the Kronecker solve.
+    unknowns rather than the d1 * d2 of the Kronecker-product system.
     """
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("hom spaces need the same group and field")
@@ -543,20 +531,13 @@ def is_isomorphic(m1: GModule, m2: GModule) -> bool:
 
 
 def fixed_subspace(m: GModule, sub: Subgroup) -> Subspace:
-    """Common fixed vectors of a subgroup, as Hom_H(trivial, M)."""
+    """Common fixed vectors of a subgroup: the nullspace of the stacked
+    image(g) - I over its generators (the whole space when there are none)."""
     if sub.parent is not m.group:
         raise ModuleError("subgroup belongs to a different group")
-    gens = sub.generating_set()
-    if not gens:
-        basis = rref(m.field, identity_matrix(m.dim)).reduced
-    else:
-        one = identity_matrix(1)
-        basis = _hom_basis(m.field, [(one, m.image_of(g)) for g in gens], 1, m.dim)
+    rows = [(m.image_of(g) - identity_matrix(m.dim)) % m.field.p for g in sub.generating_set()]
+    basis = nullspace(m.field, np.concatenate([np.zeros((0, m.dim), dtype=np.int64), *rows]))
     return Subspace(m.field, m.dim, basis)
-
-
-def fixed_subspace_group(m: GModule) -> Subspace:
-    return fixed_subspace(m, whole_group(m.group))
 
 
 # -- catalogs -------------------------------------------------------------------

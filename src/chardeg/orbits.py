@@ -64,13 +64,6 @@ def unpack_key(key: int, r: int, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pack_vector(v, r: int) -> int:
-    key = 0
-    for digit in reversed(list(v)):
-        key = key * r + int(digit)
-    return key
-
-
 def stabilizer(m: GModule, v) -> Subgroup:
     """{g : image(g) v = v} as a subgroup of the acting group."""
     vec = np.asarray(v, dtype=np.int64)
@@ -160,24 +153,3 @@ def sylow_centralizer_condition(report: OrbitReport, q: int) -> bool:
     return all(
         contains_normal_full_sylow(m.group, o.stab, q) for o in report.orbits if o.rep_key != 0
     )
-
-
-def stabilizer_prime_escape(m: GModule, r: int) -> bool:
-    """True iff some nonzero vector's stabilizer has order prime to r.
-
-    An element of order r exists in the stabilizer exactly when r
-    divides the stabilizer order (Cauchy), so this detects vectors whose
-    stabilizer avoids order-r elements.
-    """
-    report = orbit_decompose(m)
-    return any(o.rep_key != 0 and o.stab_order % r != 0 for o in report.orbits)
-
-
-def has_regular_orbit(m: GModule) -> bool:
-    """True iff some orbit has the full group order as its length.
-
-    A nontrivial group acting through a kernel can never have one, which
-    matches the faithful absolutely irreducible setting this feeds.
-    """
-    report = orbit_decompose(m)
-    return any(o.size == m.group.order for o in report.orbits)

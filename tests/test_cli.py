@@ -73,6 +73,20 @@ def test_extension_command(tmp_path, capsys):
     assert sorted(map(sorted, data["analysis"]["components"])) == [[2, 3], [5]]
 
 
+@pytest.mark.parametrize("command", ["extension", "orbits"])
+def test_group_override_refuses_a_module_of_another_group(tmp_path, capsys, command):
+    """--group sl2:7 with a module written for sl2:5 is refused (exit 2)
+    before the module's images are read against the wrong generators."""
+    nat = tmp_path / "nat5.json"
+    assert run_cli(capsys, "module", "natural", "--group", "sl2:5", "--out", str(nat))[0] == 0
+    argv = {"extension": ["extension"], "orbits": ["orbits", "decompose"]}[command]
+    assert main([*argv, "--group", "sl2:7", "--module", str(nat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the module was built for another group than the one given\n"
+    assert main([*argv, "--group", "sl2:5", "--module", str(nat)]) == 0
+
+
 def _drop(key):
     def edit(data):
         del data[key]
@@ -353,6 +367,39 @@ def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
         ap = build_parser()
         args = ap.parse_args(_apply_config(ap, ["--config", str(conf), "graph"]))
         assert (args.q, args.family) == (13, "psl2")
+
+
+def test_config_value_outside_the_choices_is_a_usage_error(tmp_path, capsys):
+    """A config value is held to its flag's choices: {"suite": "bogus"} is a
+    one-line usage error (exit 2), as --suite bogus is."""
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"suite": "bogus"}))
+    assert main(["--config", str(conf), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config key 'suite': invalid choice 'bogus' (choose from 'graphs', ")
+    assert captured.err.count("\n") == 1
+    conf.write_text(json.dumps({"suite": "ledgers"}))
+    assert main(["--config", str(conf), "verify", "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("text", ["1,x", "1,,6", "1,-6", "0,6", "1.5"])
+def test_graph_degrees_must_be_positive_integers(tmp_path, capsys, text):
+    """--degrees, from the command line or a config file, is a comma-separated
+    list of positive integers; anything else, a config list included, is a
+    usage error (exit 2)."""
+    message = f"argument --degrees: degrees must be a comma-separated list of positive integers, got {text!r}"
+    assert main(["graph", "--degrees", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    conf = tmp_path / "c.json"
+    for value, shown in ((text, text), ([1, 6], "[1, 6]")):
+        conf.write_text(json.dumps({"degrees": value}))
+        assert main(["--config", str(conf), "graph"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"got {shown!r}" in captured.err
+    code, out = run_cli(capsys, "graph", "--degrees", "1, 6,15")
+    assert code == 0 and json.loads(out)["analysis"]["articulation_points"] == [3]
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

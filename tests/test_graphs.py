@@ -72,7 +72,7 @@ def test_articulation_against_bruteforce(k, seed):
 
 def test_degree_set_requires_one():
     with pytest.raises(DegreeSetError):
-        DegreeSet.from_degrees([2, 3])
+        DegreeSet.from_multiplicities({2: 1, 3: 1})
 
 
 @pytest.mark.parametrize(

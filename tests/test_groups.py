@@ -8,15 +8,11 @@ from chardeg.groups import (
     center,
     contains_normal_full_sylow,
     count_normalized_sylow,
-    cyclic_generator,
     group_from_json,
-    is_abelian,
-    normalizer,
     sl2_group,
     subgroup_from_gens,
     sylow,
     sylow_char_subgroups,
-    trivial_subgroup,
     whole_group,
 )
 from chardeg.linalg import identity_matrix
@@ -84,15 +80,13 @@ def test_sylow_char_partition(g7):
 
 
 def test_normalizer_of_char_sylow(g7):
+    # T fixes the point (0, 1): its normalizer is the lower Borel subgroup,
+    # generated by the lower unitriangular and the diagonal generator
     T = sylow_char_subgroups(g7)[0]
-    N = normalizer(g7, T)
+    N = subgroup_from_gens(g7, [g7.index_of(g7.gens[1]), g7.index_of(g7.gens[3])])
+    assert set(T.members) <= set(N.members)
     assert N.order == 42  # 336 / 8 conjugates
     assert contains_normal_full_sylow(g7, N, 7)
-
-
-def test_normalizer_edge_cases(g7):
-    assert normalizer(g7, whole_group(g7)).order == g7.order
-    assert normalizer(g7, trivial_subgroup(g7)).order == g7.order
 
 
 def test_count_normalized_sylow_examples(g7):
@@ -119,15 +113,6 @@ def test_lagrange_for_random_subgroups(g5):
         gens = [int(x) for x in rng.integers(0, g5.order, size=2)]
         sub = subgroup_from_gens(g5, gens)
         assert g5.order % sub.order == 0
-
-
-def test_is_abelian_and_cyclic(g5):
-    orders = g5.element_orders
-    x = int(np.flatnonzero(orders == 10)[0])
-    sub = subgroup_from_gens(g5, [x])
-    assert is_abelian(sub)
-    assert cyclic_generator(sub) is not None
-    assert not is_abelian(whole_group(g5))
 
 
 def test_conjugacy_class_count(g5):
@@ -337,3 +322,45 @@ def test_contains_normal_full_sylow_matches_mult_oracle(q, r):
             assert got == _normal_full_sylow_by_mult(g, stab, u)
             seen.add(got)
     assert seen == {True, False}
+
+
+def _two_sided_closure(group, gen_positions):
+    """Oracle: closure of the generators under both right and left products."""
+    members = {0}
+    queue = [0]
+    gen_positions = [g for g in gen_positions if g != 0]
+    for g in gen_positions:
+        if g not in members:
+            members.add(g)
+            queue.append(g)
+    pos = 0
+    while pos < len(queue):
+        x = queue[pos]
+        pos += 1
+        for g in gen_positions:
+            y = group.mult(x, g)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+            z = group.mult(g, x)
+            if z not in members:
+                members.add(z)
+                queue.append(z)
+    return sorted(members)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25])
+def test_subgroup_from_gens_matches_two_sided_closure(q):
+    """Closing under right products alone gives the members of the two-sided
+    closure: on one random generator, on one together with the identity, and
+    on two or three random generators."""
+    g = sl2_group(q)
+    rng = np.random.default_rng(q)
+    x = int(rng.integers(g.order))
+    gen_sets = [[x], [0, x], [int(y) for y in rng.integers(0, g.order, size=int(rng.integers(2, 4)))]]
+    sizes = set()
+    for gens in gen_sets:
+        sub = subgroup_from_gens(g, gens)
+        assert list(sub.members) == _two_sided_closure(g, gens)
+        sizes.add(sub.order)
+    assert len(sizes) > 1

@@ -13,7 +13,7 @@ from chardeg.groups import (
     trivial_subgroup,
     whole_group,
 )
-from chardeg.linalg import identity_matrix, mat_inv, rref
+from chardeg.linalg import identity_matrix, mat_inv, nullspace, rref
 from chardeg.numtheory import prime_divisors
 from chardeg.modules import (
     ModuleError,
@@ -21,7 +21,6 @@ from chardeg.modules import (
     dual,
     endo_dim,
     fixed_subspace,
-    fixed_subspace_group,
     hom_space_dim,
     irreducible_catalog,
     irreducible_count,
@@ -259,7 +258,7 @@ def test_fixed_subspace_examples(g7):
     assert fixed_subspace(three, T).dim == 0
     assert fixed_subspace(eight, T).dim <= 2
     triv = trivial_module(g7, 2)
-    assert fixed_subspace_group(triv).dim == 1
+    assert fixed_subspace(triv, whole_group(g7)).dim == 1
 
 
 def test_fixed_subspace_unipotent_on_natural(g5):
@@ -499,11 +498,15 @@ def test_hom_space_dim_matches_exhaustive_intertwiners(p):
 
 
 def _kronecker_hom_dim(m1, m2):
-    """dim Hom(m1, m2) as the nullspace of the (d1 d2)-unknown Kronecker system."""
-    from chardeg.modules import _hom_basis
+    """dim Hom(m1, m2) as the nullspace of the (d1 d2)-unknown Kronecker system.
 
-    pairs = zip(m1.gen_images, m2.gen_images)
-    return int(_hom_basis(m1.field, pairs, m1.dim, m2.dim).shape[0])
+    With X (d2 x d1) read row by row into a vector x, M2 X is kron(M2, I_d1) x
+    and X M1 is kron(I_d2, M1^T) x, so Hom is the nullspace of the stacked
+    differences mod p.
+    """
+    p, i1, i2 = m1.field.p, identity_matrix(m1.dim), identity_matrix(m2.dim)
+    blocks = [(np.kron(M2, i1) - np.kron(i2, M1.T)) % p for M1, M2 in zip(m1.gen_images, m2.gen_images)]
+    return int(nullspace(m1.field, np.concatenate(blocks, axis=0)).shape[0])
 
 
 @functools.lru_cache(maxsize=None)
