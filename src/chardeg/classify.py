@@ -27,8 +27,8 @@ from chardeg.graphs import (
     graph_from_degrees,
     graph_from_edges,
 )
-from chardeg.groups import Subgroup, _batch_mul
-from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
+from chardeg.groups import Subgroup, _batch_inv_det1, _batch_mul, _class_labels
+from chardeg.kernels import rref_prime
 from chardeg.linalg import nullspace
 from chardeg.modules import GModule, dual
 from chardeg.numtheory import (
@@ -63,18 +63,19 @@ def stabilizer_degree_multiplicities(sub: Subgroup) -> dict[int, int]:
     """
     group, members = sub.parent, np.asarray(sub.members)
     n = members.size
-    mats = group.elems[members]
-    prods = _batch_mul(group.field, mats[:, None], mats[None]).reshape(-1, 2, 2)
-    # table[x, y] is the position of h_x h_y and left_inv[x, y] that of
-    # h_x^-1 h_y; the identity is member 0
-    table = np.searchsorted(members, group.indices_of_matrices(prods)).reshape(n, n)
-    left_inv = table[(table == 0).argmax(axis=1)]
-    cls, reps, sizes = _number_orbits(orbit_labels(table[left_inv, np.arange(n)[:, None]], n))
+    cls, reps, sizes = _class_labels(group, members, sub.generating_set())
     r = reps.size
     if r == n:
         return {1: n}
+    # a[i, j, k] = #{h in C_i : h^-1 z_k in C_j}, z_k the representative of C_k
+    z = group.elems[members[reps]]
+    inv = _batch_inv_det1(group.field, group.elems[members])
+    prods = _batch_mul(group.field, inv[:, None], z[None]).reshape(-1, 2, 2)
+    cols = np.searchsorted(members, group.indices_of_matrices(prods)).reshape(n, r)
     a = np.zeros((r, r, r), dtype=np.int64)
-    np.add.at(a, (cls[:, None], cls[left_inv[:, reps]], np.arange(r)), 1)
+    np.add.at(a, (cls[:, None], cls[cols], np.arange(r)), 1)
+    z_inv = group.indices_of_matrices(_batch_inv_det1(group.field, z))
+    inverse_cls = cls[np.searchsorted(members, z_inv)]
     e = int(np.lcm.reduce(group.element_orders[members]))
     p = e + 1
     while p <= n or not is_prime(p):
@@ -102,7 +103,7 @@ def stabilizer_degree_multiplicities(sub: Subgroup) -> dict[int, int]:
     W = np.concatenate(spaces)
     W = W * np.asarray([pow(int(w), p - 2, p) for w in W[:, 0]])[:, None] % p
     inv_sizes = np.asarray([pow(int(s), p - 2, p) for s in sizes], dtype=np.int64)
-    norms = (W * W[:, cls[left_inv[reps, 0]]] % p * inv_sizes % p).sum(axis=1) % p
+    norms = (W * W[:, inverse_cls] % p * inv_sizes % p).sum(axis=1) % p
     squares = [n * pow(int(t), p - 2, p) % p for t in norms]
     degrees = [isqrt(s) for s in squares]
     if any(d < 1 or d * d != s for d, s in zip(degrees, squares)) or sum(squares) != n:

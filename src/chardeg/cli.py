@@ -301,7 +301,7 @@ def main(argv=None) -> int:
         _check_choices(ap.subcommand_parsers[args.command], args)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except (GroupError, ModuleError, FieldError, DegreeSetError, ClassifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

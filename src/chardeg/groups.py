@@ -8,13 +8,13 @@ the generators extends to all elements by replaying the closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from chardeg.fields import Field, field_make
-from chardeg.kernels import orbit_labels
+from chardeg.kernels import _number_orbits, orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
 ENUMERATION_CAP = 10**6
@@ -171,33 +171,13 @@ class GroupTable:
 
     @cached_property
     def conjugacy_classes(self) -> np.ndarray:
-        """class_id per element; ids numbered by least member position.
-
-        Each generator g gives the permutation x -> g^-1 x g of the element
-        indices; orbit_labels finds the least member of every class, and the
-        classes are numbered in the order of their least members.
-        """
-        F = self.field
-        gen_idx = self.indices_of_matrices(self.gens)
-        perms = [
-            self.indices_of_matrices(
-                _batch_mul(F, _batch_mul(F, self.elems[self.inverse[g]], self.elems), self.elems[g])
-            )
-            for g in gen_idx
-        ]
-        label = orbit_labels(perms, self.order)
-        least = label == np.arange(self.order)
-        return (np.cumsum(least) - 1)[label]
+        """class_id per element; ids numbered by least member position."""
+        return _class_labels(self, np.arange(self.order), self.indices_of_matrices(self.gens))[0]
 
     @cached_property
     def class_reps(self) -> np.ndarray:
-        """Least member of every conjugacy class, in class-id order.
-
-        Classes are numbered by their least members, so the running maximum
-        of the class ids first reaches c at the least member of class c.
-        """
-        cls = self.conjugacy_classes
-        return np.searchsorted(np.maximum.accumulate(cls), np.arange(int(cls.max()) + 1))
+        """Least member of every conjugacy class (its first position), in class-id order."""
+        return np.unique(self.conjugacy_classes, return_index=True)[1]
 
     @cached_property
     def sylow_map(self) -> tuple[list[Subgroup], np.ndarray]:
@@ -269,7 +249,7 @@ def sl2_group(q: int) -> GroupTable:
 class Subgroup:
     parent: GroupTable
     members: tuple[int, ...]
-    gens: tuple[int, ...] = ()
+    gens: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
@@ -298,18 +278,35 @@ class Subgroup:
 def _close_indices(group: GroupTable, gen_positions) -> list[int]:
     """Closure of the identity under right multiplication by the generators.
 
-    In a finite group every inverse is a positive power, so this is the
+    One batched product of the frontier by every generator per level.  In
+    a finite group every inverse is a positive power, so this is the
     generated subgroup.
     """
+    gens = group.elems[np.asarray(gen_positions, dtype=np.int64)]
     members = {0}
-    queue = [0]
-    for x in queue:
-        for g in gen_positions:
-            y = group.mult(x, g)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
+    frontier = [0]
+    while frontier:
+        prods = _batch_mul(group.field, group.elems[frontier][:, None], gens[None])
+        frontier = list(set(group.indices_of_matrices(prods.reshape(-1, 2, 2)).tolist()) - members)
+        members.update(frontier)
     return sorted(members)
+
+
+def _class_labels(group: GroupTable, members: np.ndarray, gen_positions):
+    """(labels, reps, sizes) of the conjugacy classes of a subgroup.
+
+    members are the subgroup's ascending element positions and gen_positions
+    generate it.  Each generator g gives the permutation x -> g^-1 x g of the
+    member positions; orbit_labels finds the least member of every class, and
+    the classes are numbered in the order of their least members.
+    """
+    F = group.field
+    mats = group.elems[members]
+    perms = []
+    for g in group.elems[np.asarray(gen_positions, dtype=np.int64)]:
+        conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, g), mats), g)
+        perms.append(np.searchsorted(members, group.indices_of_matrices(conj)))
+    return _number_orbits(orbit_labels(perms, members.size))
 
 
 def subgroup_from_gens(group: GroupTable, gen_positions) -> Subgroup:

@@ -169,10 +169,12 @@ def check_two_sylow_normalizers(h: Harness):
         full_r = p_part(g.order, r)
         orders = g.element_orders
         subs: dict = {}
+        covered: set = set()
         for i in range(g.order):
-            if int(orders[i]) == full_r:
+            if int(orders[i]) == full_r and i not in covered:
                 s = subgroup_from_gens(g, [i])
                 subs[s.members] = s
+                covered.update(s.members)
         sylows = sylow_char_subgroups(g)
         counts = sorted({count_normalized_sylow(g, s, t) for s in subs.values()})
         key = f"q={q},r={r}"

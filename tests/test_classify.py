@@ -1,5 +1,7 @@
 from collections import Counter
+from math import isqrt
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -18,10 +20,13 @@ from chardeg.classify import (
     three_vertices_classify,
     two_component_check,
 )
+from chardeg.fields import field_make
 from chardeg.graphs import analyze, degree_set, graph_from_degrees
-from chardeg.groups import sl2_group, subgroup_from_gens, whole_group
+from chardeg.groups import _batch_mul, sl2_group, subgroup_from_gens, whole_group
+from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
+from chardeg.linalg import nullspace
 from chardeg.modules import dual, irreducible_catalog, natural_restricted
-from chardeg.numtheory import prime_divisors, prime_power_split, prime_powers
+from chardeg.numtheory import is_prime, prime_divisors, prime_power_split, prime_powers
 from chardeg.orbits import orbit_decompose
 
 mp.dps = 80
@@ -162,8 +167,6 @@ def test_stabilizer_degree_table():
 
 
 def test_stabilizer_degree_frobenius():
-    import numpy as np
-
     g7 = sl2_group(7)
     # 7:3 Frobenius subgroup: a transvection and an order-3 torus element
     unip = g7.index_of(np.array([[1, 1], [0, 1]], dtype=np.int64))
@@ -180,7 +183,7 @@ def test_stabilizer_degree_frobenius():
     assert sum(m * d * d for d, m in mult.items()) == 21
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_stabilizer_degrees_of_whole_sl2_match_the_degree_table(q):
     got = stabilizer_degree_multiplicities(whole_group(sl2_group(q)))
     assert got == dict(degree_set("sl2", q).multiplicities)
@@ -203,6 +206,68 @@ def small_sweep_stabilizers(small_sweep):
         for o in orbit_decompose(dual(e.module)).orbits
         if o.rep_key != 0
     ]
+
+
+def _dixon_table_oracle(sub):
+    """Dixon's method read off the n x n product table of the subgroup.
+
+    Classes come from the table's own conjugation permutations and the class
+    matrices from every product h_x^-1 h_y, so neither the class labelling
+    nor the class-representative columns of the library are shared.
+    """
+    group, members = sub.parent, np.asarray(sub.members)
+    n = members.size
+    mats = group.elems[members]
+    prods = _batch_mul(group.field, mats[:, None], mats[None]).reshape(-1, 2, 2)
+    # table[x, y] is the position of h_x h_y and left_inv[x, y] that of
+    # h_x^-1 h_y; the identity is member 0
+    table = np.searchsorted(members, group.indices_of_matrices(prods)).reshape(n, n)
+    left_inv = table[(table == 0).argmax(axis=1)]
+    cls, reps, sizes = _number_orbits(orbit_labels(table[left_inv, np.arange(n)[:, None]], n))
+    r = reps.size
+    if r == n:
+        return {1: n}
+    a = np.zeros((r, r, r), dtype=np.int64)
+    np.add.at(a, (cls[:, None], cls[left_inv[:, reps]], np.arange(r)), 1)
+    e = int(np.lcm.reduce(group.element_orders[members]))
+    p = e + 1
+    while p <= n or not is_prime(p):
+        p += e
+    F = field_make(p)
+    spaces = [np.eye(r, dtype=np.int64)]
+    for M in a[1:]:
+        split = [B for B in spaces if len(B) == 1]
+        for B in (B for B in spaces if len(B) > 1):
+            eye = np.eye(len(B), dtype=np.int64)
+            C = (B @ M.T % p)[:, (B != 0).argmax(axis=1)]  # B M^T = C B
+            powers = [eye]
+            for _ in range(len(B)):
+                powers.append(powers[-1] @ C % p)
+            # C^deg is the first power of C that depends on the ones below it
+            R, piv = rref_prime(np.stack(powers).reshape(len(powers), -1).T, p)
+            value = np.ones(p, dtype=np.int64)
+            for c in R[: piv.size, piv.size][::-1]:
+                value = (value * np.arange(p) - c) % p
+            for lam in np.flatnonzero(value == 0):
+                split.append(nullspace(F, (C.T - lam * eye) % p) @ B % p)
+        spaces = split
+    if len(spaces) != r:
+        raise ClassifyError(f"the class matrices of a subgroup of order {n} do not split mod {p}")
+    W = np.concatenate(spaces)
+    W = W * np.asarray([pow(int(w), p - 2, p) for w in W[:, 0]])[:, None] % p
+    inv_sizes = np.asarray([pow(int(s), p - 2, p) for s in sizes], dtype=np.int64)
+    norms = (W * W[:, cls[left_inv[reps, 0]]] % p * inv_sizes % p).sum(axis=1) % p
+    squares = [n * pow(int(t), p - 2, p) % p for t in norms]
+    degrees = [isqrt(s) for s in squares]
+    if any(d < 1 or d * d != s for d, s in zip(degrees, squares)) or sum(squares) != n:
+        raise ClassifyError(f"no certified character degrees for a subgroup of order {n}")
+    return dict(sorted(Counter(degrees).items()))
+
+
+def test_stabilizer_degrees_match_the_table_oracle(small_sweep_stabilizers):
+    assert len(small_sweep_stabilizers) == 1181
+    for stab in small_sweep_stabilizers:
+        assert stabilizer_degree_multiplicities(stab) == _dixon_table_oracle(stab)
 
 
 def _brute_force_class_count(sub):

@@ -383,6 +383,24 @@ def test_config_value_outside_the_choices_is_a_usage_error(tmp_path, capsys):
     assert main(["--config", str(conf), "verify", "--out", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "decompose", "--module", "{dir}"],
+        ["--config", "{dir}", "graph", "--degrees", "1,6"],
+        ["graph", "--degrees", "1,6", "--out", "{dir}"],
+    ],
+    ids=["module", "config", "out"],
+)
+def test_directory_path_is_a_usage_error(tmp_path, capsys, argv):
+    """A directory where a file is expected is a one-line usage error (exit 2)."""
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["1,x", "1,,6", "1,-6", "0,6", "1.5"])
 def test_graph_degrees_must_be_positive_integers(tmp_path, capsys, text):
     """--degrees, from the command line or a config file, is a comma-separated

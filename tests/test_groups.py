@@ -5,6 +5,7 @@ from chardeg.fields import field_make
 from chardeg.groups import (
     CapExceeded,
     GroupTable,
+    Subgroup,
     center,
     contains_normal_full_sylow,
     count_normalized_sylow,
@@ -113,6 +114,15 @@ def test_lagrange_for_random_subgroups(g5):
         gens = [int(x) for x in rng.integers(0, g5.order, size=2)]
         sub = subgroup_from_gens(g5, gens)
         assert g5.order % sub.order == 0
+
+
+def test_subgroup_equality_ignores_the_cached_generating_set(g5):
+    s, t = whole_group(g5), whole_group(g5)
+    bag = {s}
+    assert s.generating_set()
+    assert s == t and hash(s) == hash(t)
+    assert s in bag
+    assert subgroup_from_gens(g5, [1]) == Subgroup(g5, subgroup_from_gens(g5, [1]).members)
 
 
 def test_conjugacy_class_count(g5):
