@@ -1,4 +1,4 @@
-"""Hot numeric kernels: orbit labelling, orbit stabilizers, BFS levels and prime-field row reduction.
+"""Hot numeric kernels: orbit labelling, orbit stabilizers, BFS levels and prime-field linear algebra.
 
 All kernels are vectorized numpy.  orbit_labels is the one orbit engine
 of the package: vector orbits, conjugacy classes and power-map cycles are
@@ -6,7 +6,10 @@ all labelled through it.  orbit_stabilizers builds int32 key permutations
 from digit tables and reads every stabilizer off one walk of the group's
 BFS tree over them; bfs_levels is the one reading of that tree's levels.
 rref_prime is the one echelon engine: linalg.rref and the meataxe spin
-both reduce through it.
+both reduce through it.  mul_mod is the one product of module matrices:
+a float64 BLAS product, exact because every integer it forms stays below
+2^53, the approach of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35,
+2008).
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -16,10 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from chardeg.fields import FieldError
+
 # Read by the environment fingerprint of perfbench/run.py; every kernel
 # here is plain numpy.
 JIT_ENABLED = False
 
+
+# float64 holds every integer of absolute value up to 2^53 exactly.
+EXACT_FLOAT_LIMIT = 1 << 53
 
 # Keys per block of the permutation build: a key splits into its low k
 # digits, r^k <= SWEEP_CHUNK, and its high digits, and the images of the
@@ -145,26 +153,50 @@ def orbit_stabilizers(
     return reps, sizes, members
 
 
+def mul_mod(A, B, p: int) -> np.ndarray:
+    """A @ B mod p as int64, for entries of absolute value below p.
+
+    The product runs in float64 BLAS.  Every partial sum of a dot product
+    is an integer of absolute value at most inner * (p-1)^2, so it is exact
+    while that bound stays below 2^53; past it FieldError is raised.  An
+    operand already in float64 is used without a copy.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    inner = A.shape[-1]
+    if inner * (p - 1) ** 2 >= EXACT_FLOAT_LIMIT:
+        raise FieldError(f"a float64 product of length {inner} over F_{p} is not exact")
+    return np.matmul(A, np.asarray(B, dtype=np.float64)).astype(np.int64) % p
+
+
 def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form over F_p; returns (reduced, pivot columns)."""
+    """Reduced row echelon form over F_p; returns (reduced, pivot columns).
+
+    Only the columns nonzero in A can hold pivots, since row operations keep
+    a zero column zero.  The pivot row is any row with a nonzero entry, as
+    the reduced form is unique; it is zero left of the pivot, so only the
+    columns from the pivot on, in the rows nonzero in the pivot column, are
+    eliminated.
+    """
     R = np.ascontiguousarray(A, dtype=np.int64) % p
-    m, n = R.shape
+    m = R.shape[0]
     pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
+    for col in np.flatnonzero(R.any(axis=0)).tolist():
+        row = len(pivots)
+        if row == m:
             break
-        nz = np.flatnonzero(R[row:, col])
-        if nz.size == 0:
+        pr = row + int(R[row:, col].argmax())
+        if not R[pr, col]:
             continue
-        pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
-        R[row] = R[row] * pow(int(R[row, col]), p - 2, p) % p
-        mask = R[:, col] != 0
-        mask[row] = False
-        if mask.any():
-            R[mask] = (R[mask] - np.outer(R[mask, col], R[row])) % p
+        piv = R[row, col:]
+        if piv[0] != 1:
+            piv *= pow(int(piv[0]), p - 2, p)
+            piv %= p
+        f = R[:, col].copy()
+        f[row] = 0
+        hit = f.nonzero()[0]
+        if hit.size:
+            R[hit, col:] = (R[hit, col:] - f[hit, None] * piv) % p
         pivots.append(col)
-        row += 1
     return R, np.asarray(pivots, dtype=np.int64)

@@ -4,8 +4,8 @@ Matrices are plain numpy int64 arrays of residues mod p; every function
 takes the field as its first argument and reduces through
 kernels.rref_prime.  An extension field raises FieldError: modules are
 prime-field only, and the groups' extension fields do their arithmetic
-through Field.tables.  Matrix products are plain numpy mod p at the call
-site.
+through Field.tables.  Matrix products of module matrices go through
+kernels.mul_mod, the exact float64 product.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from chardeg.groups import (
     _power_index,
     group_from_json,
 )
-from chardeg.kernels import bfs_levels, orbit_labels, rref_prime
+from chardeg.kernels import bfs_levels, mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import Subspace, identity_matrix, mat_inv, nullspace, rref
 from chardeg.numtheory import is_prime
 
@@ -77,7 +77,7 @@ class GModule:
         """Image of group element idx, by replaying its generator word."""
         out = identity_matrix(self.dim)
         for gi in self.group.word(idx):
-            out = out @ self.gen_images[gi] % self.field.p
+            out = mul_mod(out, self.gen_images[gi], self.field.p)
         return out
 
     @cached_property
@@ -92,7 +92,7 @@ class GModule:
         pgen = self.group.parent_gen
         gens = np.stack(self.gen_images)
         for lo, hi in bfs_levels(parent):
-            out[lo:hi] = np.matmul(out[parent[lo:hi]], gens[pgen[lo:hi]]) % self.field.p
+            out[lo:hi] = mul_mod(out[parent[lo:hi]], gens[pgen[lo:hi]], self.field.p)
         out.flags.writeable = False
         return out
 
@@ -163,7 +163,7 @@ def validate_homomorphism(m: GModule, samples: int = 100, seed: int = 42) -> boo
         x = int(rng.integers(n))
         y = int(rng.integers(n))
         lhs = m.image_of(m.group.mult(x, y))
-        rhs = m.image_of(x) @ m.image_of(y) % m.field.p
+        rhs = mul_mod(m.image_of(x), m.image_of(y), m.field.p)
         if not np.array_equal(lhs, rhs):
             return False
     return True
@@ -289,16 +289,16 @@ def spin(F: Field, seeds, action_mats, dim: int) -> np.ndarray:
     The rows returned span the closure; they are not in pivot order.
     """
     p = F.p
-    stacked = np.concatenate(action_mats, axis=1)
+    stacked = np.concatenate(action_mats, axis=1).astype(np.float64)
     basis, piv = rref_prime(np.asarray(list(seeds), dtype=np.int64).reshape(-1, dim), p)
     basis = basis[: piv.size]
     frontier = basis
     while frontier.shape[0] and piv.size < dim:
-        imgs = ((frontier @ stacked) % p).reshape(-1, dim)
-        imgs = (imgs - imgs[:, piv] @ basis) % p
+        imgs = mul_mod(frontier, stacked, p).reshape(-1, dim)
+        imgs = (imgs - mul_mod(imgs[:, piv], basis, p)) % p
         new, new_piv = rref_prime(imgs, p)
         new = new[: new_piv.size]
-        basis = (basis - basis[:, new_piv] @ new) % p
+        basis = (basis - mul_mod(basis[:, new_piv], new, p)) % p
         basis = np.concatenate([basis, new])
         piv = np.concatenate([piv, new_piv])
         frontier = new
@@ -311,9 +311,10 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
     A = np.zeros((d, d), dtype=np.int64)
     g = len(gen_images)
     for _ in range(3):
-        word = identity_matrix(d)
-        for _ in range(int(rng.integers(1, 4))):
-            word = word @ gen_images[int(rng.integers(g))] % F.p
+        length = int(rng.integers(1, 4))
+        word = gen_images[int(rng.integers(g))]
+        for _ in range(length - 1):
+            word = mul_mod(word, gen_images[int(rng.integers(g))], F.p)
         c = int(rng.integers(F.order))
         if c:
             A = (A + c * word) % F.p
@@ -321,23 +322,17 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
 
 
 def _kernel_lines(F: Field, ker: np.ndarray):
-    """All projective lines of the row span of ker, or None if too many."""
+    """One row per projective line of the row span of ker, or None if too many."""
     nullity = ker.shape[0]
     q = F.order
     n_lines = (q**nullity - 1) // (q - 1)
     if n_lines > LINE_ENUM_LIMIT:
         return None
-    lines = []
-    for coeffs in itertools.product(range(q), repeat=nullity):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:
-            continue
-        v = np.zeros(ker.shape[1], dtype=np.int64)
-        for c, row in zip(coeffs, ker):
-            if c:
-                v = (v + c * row) % F.p
-        lines.append(v)
-    return lines
+    # every coefficient vector, in itertools.product order, whose first
+    # nonzero entry is 1
+    coeffs = np.indices((q,) * nullity).reshape(nullity, -1).T
+    first = coeffs[np.arange(coeffs.shape[0]), (coeffs != 0).argmax(axis=1)]
+    return mul_mod(coeffs[first == 1], ker, F.p)
 
 
 def _meataxe_step(m: GModule, rng):
@@ -359,7 +354,7 @@ def _meataxe_step(m: GModule, rng):
         if nullity == 0 or nullity == d:
             continue
         lines = _kernel_lines(F, ker)
-        vecs = lines if lines is not None else list(ker)
+        vecs = lines if lines is not None else ker
         for v in vecs:
             W = spin(F, [v], act, d)
             if W.shape[0] < d:
@@ -395,12 +390,12 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     comp = [c for c in range(d) if c not in res.pivots]
     subs, quots = [], []
     for A in m.gen_images:
-        AWt = A @ W.T % p
+        AWt = mul_mod(A, W.T, p)
         S = AWt[piv]
-        if not np.array_equal(AWt, W.T @ S % p):
+        if not np.array_equal(AWt, mul_mod(W.T, S, p)):
             raise ModuleError("subspace is not invariant")
         subs.append(S)
-        quots.append((A[np.ix_(comp, comp)] - W[:, comp].T @ A[np.ix_(piv, comp)]) % p)
+        quots.append((A[np.ix_(comp, comp)] - mul_mod(W[:, comp].T, A[np.ix_(piv, comp)], p)) % p)
     return (
         GModule(m.group, F, subs, check=False),
         GModule(m.group, F, quots, check=False),
@@ -460,7 +455,7 @@ def _standard_basis(m: GModule) -> tuple[np.ndarray, list[tuple[int, int]]]:
 
     def join(v: np.ndarray, origin: tuple[int, int]) -> bool:
         nonlocal ech
-        r = (v - v[pivots] @ ech) % p
+        r = (v - mul_mod(v[pivots], ech, p)) % p
         nz = np.flatnonzero(r)
         if nz.size == 0:
             return False
@@ -481,7 +476,7 @@ def _standard_basis(m: GModule) -> tuple[np.ndarray, list[tuple[int, int]]]:
                 next_unit += 1
             seeds += 1
         for g, M in enumerate(m.gen_images):
-            if join(M @ basis[j] % p, (j, g)) and len(basis) == d:
+            if join(mul_mod(M, basis[j], p), (j, g)) and len(basis) == d:
                 break
         j += 1
     return np.asarray(basis), tree
@@ -508,13 +503,14 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
         if parent < 0:  # the k-th seed, whose image is the k-th block of w
             words[j, :, k * d2 : (k + 1) * d2] = identity_matrix(d2)
         else:  # generator k images b_parent to b_j
-            words[j] = m2.gen_images[k] @ words[parent] % p
+            words[j] = mul_mod(m2.gen_images[k], words[parent], p)
     B = basis.T
     Binv = mat_inv(m1.field, B)
+    flat = words.reshape(m1.dim, -1)
     blocks = []
     for M1, M2 in zip(m1.gen_images, m2.gen_images):
-        C = Binv @ (M1 @ B % p) % p
-        blocks.append((M2 @ words - np.tensordot(C, words, axes=(0, 0))) % p)
+        C = mul_mod(Binv, mul_mod(M1, B, p), p)
+        blocks.append((mul_mod(M2, words, p) - mul_mod(C.T, flat, p).reshape(words.shape)) % p)
     rank = rref_prime(np.concatenate(blocks).reshape(-1, seeds * d2), p)[1].size
     return seeds * d2 - rank
 

@@ -23,7 +23,7 @@ from chardeg.classify import (
     three_vertices_classify,
     two_component_check,
 )
-from chardeg.fields import field_make
+from chardeg.fields import FieldError, field_make
 from chardeg.graphs import (
     analyze,
     articulation_points_bruteforce,
@@ -43,6 +43,7 @@ from chardeg.groups import (
 from chardeg.linalg import kernel, rref
 from chardeg.modules import (
     InconclusiveError,
+    ModuleError,
     chop,
     fixed_subspace,
     irreducible_catalog,
@@ -682,7 +683,9 @@ CHECKS = (
 SUITES = ("graphs", "groups", "modules", "orbits", "ledgers", "all")
 
 #: errors that end one check as status "error" while the run goes on
-CHECK_ERRORS = (CapExceeded, BudgetExceeded, ClassifyError, GroupError, LookupError)
+CHECK_ERRORS = (
+    CapExceeded, BudgetExceeded, ClassifyError, FieldError, GroupError, LookupError, ModuleError
+)
 
 
 def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:

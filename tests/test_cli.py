@@ -273,6 +273,26 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
 
 
+@pytest.mark.parametrize("error", ["FieldError", "ModuleError"])
+def test_run_checks_isolates_field_and_module_errors(monkeypatch, error):
+    import chardeg.verify as verify
+    from chardeg.fields import FieldError
+    from chardeg.modules import ModuleError
+
+    exc = {"FieldError": FieldError, "ModuleError": ModuleError}[error]
+
+    def raising(h):
+        raise exc("raised on purpose")
+
+    def passing(h):
+        return 1, 1
+
+    monkeypatch.setattr(verify, "CHECKS", (("a-raises", "modules", raising), ("b-passes", "modules", passing)))
+    results = verify.run_checks("all")
+    assert [(r.name, r.status) for r in results] == [("a-raises", "error"), ("b-passes", "pass")]
+    assert results[0].observed == f"{error}: raised on purpose"
+
+
 def test_verify_spent_chop_budget_is_inconclusive(monkeypatch, tmp_path):
     """chop-dimension-conservation leaves InconclusiveError to run_checks, so
     a spent chop budget is reported as inconclusive (exit 3), not fail."""

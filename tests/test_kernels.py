@@ -8,10 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chardeg import kernels
-from chardeg.fields import field_make
+from chardeg.fields import FieldError, field_make
 from chardeg.groups import sl2_group
 from chardeg.linalg import mat_inv
-from chardeg.modules import perm_module, spin
+from chardeg.modules import LINE_ENUM_LIMIT, _kernel_lines, perm_module, spin
 
 
 def _random_invertible(rng, F, n):
@@ -207,6 +207,96 @@ def test_rref_prime_matches_gauss_jordan():
             R_ref, piv_ref = _gauss_jordan(A.tolist(), p)
             assert R.tolist() == R_ref
             assert piv.tolist() == piv_ref
+
+
+def _assert_rref_matches_gauss_jordan(A, p):
+    R, piv = kernels.rref_prime(A, p)
+    R_ref, piv_ref = _gauss_jordan(A.tolist(), p)
+    assert R.shape == A.shape
+    assert R.tolist() == R_ref
+    assert piv.tolist() == piv_ref
+
+
+def test_rref_prime_edge_shapes_match_gauss_jordan():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, 13):
+        for n in (1, 4, 9):
+            _assert_rref_matches_gauss_jordan(np.zeros((0, n), dtype=np.int64), p)
+            _assert_rref_matches_gauss_jordan(np.zeros((1, n), dtype=np.int64), p)
+            _assert_rref_matches_gauss_jordan(rng.integers(0, p, size=(1, n)), p)
+            _assert_rref_matches_gauss_jordan(np.zeros((3, n), dtype=np.int64), p)
+        for _ in range(20):
+            # tall and rank-deficient, with whole zero columns: the pivot
+            # search visits only the nonzero columns and stops at full rank
+            m = int(rng.integers(6, 16))
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, n))
+            A = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+            A[:, rng.random(n) < 0.3] = 0
+            _assert_rref_matches_gauss_jordan(A, p)
+            # entries outside [0, p) are reduced first
+            _assert_rref_matches_gauss_jordan(A - 2 * p, p)
+
+
+def test_mul_mod_matches_python_ints():
+    rng = np.random.default_rng(23)
+    for p in (2, 3, 5, 13):
+        for shape_a, shape_b in (((4, 7), (7, 5)), ((7,), (7, 3)), ((6, 6), (6,)), ((3, 4, 5), (3, 5, 2))):
+            A = rng.integers(-(p - 1), p, size=shape_a)
+            B = rng.integers(-(p - 1), p, size=shape_b)
+            got = kernels.mul_mod(A, B, p)
+            assert got.dtype == np.int64
+            ref = np.asarray(np.matmul(A.astype(object), B.astype(object)) % p, dtype=np.int64)
+            assert np.array_equal(got, ref)
+    # a float64 operand is taken as it is
+    A = rng.integers(0, 5, size=(3, 3))
+    assert np.array_equal(kernels.mul_mod(A.astype(np.float64), A, 5), A @ A % 5)
+
+
+def test_mul_mod_is_exact_up_to_its_bound():
+    p = 1_000_003
+    inner = (kernels.EXACT_FLOAT_LIMIT - 1) // (p - 1) ** 2  # the longest exact product
+    assert inner * (p - 1) ** 2 < 2**53 <= (inner + 1) * (p - 1) ** 2
+    A = np.full((2, inner), p - 1, dtype=np.int64)
+    B = np.full((inner, 3), p - 1, dtype=np.int64)
+    want = inner * (p - 1) ** 2 % p  # Python ints
+    assert kernels.mul_mod(A, B, p).tolist() == [[want] * 3] * 2
+    with pytest.raises(FieldError):
+        kernels.mul_mod(np.full((2, inner + 1), p - 1), np.full((inner + 1, 3), p - 1), p)
+
+
+def _kernel_lines_by_loop(F, ker):
+    """Every projective line of the row span of ker, by itertools.product."""
+    nullity = ker.shape[0]
+    q = F.order
+    if (q**nullity - 1) // (q - 1) > LINE_ENUM_LIMIT:
+        return None
+    lines = []
+    for coeffs in itertools.product(range(q), repeat=nullity):
+        first = next((c for c in coeffs if c), None)
+        if first != 1:
+            continue
+        v = np.zeros(ker.shape[1], dtype=np.int64)
+        for c, row in zip(coeffs, ker):
+            if c:
+                v = (v + c * row) % F.p
+        lines.append(v)
+    return lines
+
+
+def test_kernel_lines_match_product_loop():
+    rng = np.random.default_rng(31)
+    for p, nullities in ((2, (1, 2, 5, 9, 10)), (3, (1, 2, 4, 6, 7)), (5, (1, 2, 3, 4, 5))):
+        F = field_make(p)
+        for nullity in nullities:
+            ker = rng.integers(0, p, size=(nullity, 12))
+            got = _kernel_lines(F, ker)
+            want = _kernel_lines_by_loop(F, ker)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == np.int64
+            assert got.tolist() == [v.tolist() for v in want]
 
 
 def test_orbit_sweep_matches_set_bfs():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -582,3 +583,40 @@ def test_standard_basis_words_rebuild_the_basis(g5):
         assert [g for parent, g in tree if parent < 0] == list(range(sum(1 for t in tree if t[0] < 0)))
     doubled = _standard_basis(_direct_sum(nat, nat))[1]
     assert [j for j, t in enumerate(doubled) if t[0] < 0] == [0, 2]
+
+
+# sha256 of the chop factors' generator images, each as little-endian int64
+# bytes, factor by factor in chop order: the tensor squares of the
+# projective-line permutation modules, (q, r) -> {chop seed: digest}.  The
+# factors' bases are part of the output (`module select --out` writes them),
+# so a faster product or echelon kernel must keep every byte.
+CHOP_DIGESTS = {
+    (9, 2): {
+        7: "bafdf2b2e3554cb20877f4cdf4c1570bec4c334ed4679d57975c773131686e80",
+        42: "85bf61c6bc49c45984d232267e03a76dd5998845fe24656477ede800f415fd47",
+    },
+    (9, 3): {
+        7: "47cd496627a16ac166936308326d19d66d16e7fa3081f4ac5996e43e25423494",
+        42: "1c22e00a10a09a819ec6c769d90234a34fd3a5a93565a87d67fc3ab851be7720",
+    },
+    (9, 5): {
+        7: "e61bd2a7b708287f4c3a58ffa5d2f0e3b0abdc0f5025babbd0ee713cf9fd47ab",
+        42: "3fc2f4e56c4c39b393c8a0fc9068fc42380d23433df6af52533c684b1d4356ba",
+    },
+    (11, 2): {
+        7: "adb6f4532bd2623c6d3313bef5d1ef6404f95de780efff7674d5d5aea92bcfab",
+        42: "d6da503405fd321425e83d43fabaee25c5754e8c516f9c9f2ab5e8853beb4e1f",
+    },
+}
+
+
+@pytest.mark.parametrize("q,r", list(CHOP_DIGESTS), ids=[f"sl2:{q}/F{r}" for q, r in CHOP_DIGESTS])
+def test_chop_factor_bytes_are_pinned(q, r):
+    proj = perm_module(sl2_group(q), "projective-points", r)
+    square = tensor(proj, proj)
+    for seed, want in CHOP_DIGESTS[(q, r)].items():
+        h = hashlib.sha256()
+        for factor in chop(square, seed=seed):
+            for img in factor.gen_images:
+                h.update(np.ascontiguousarray(img, dtype="<i8").tobytes())
+        assert h.hexdigest() == want, f"chop seed {seed}"
