@@ -10,11 +10,12 @@ permutation modules of SL2(q) over F2, F3 and F5:
   d = 144  the tensor square of SL2(11) on the 12 projective points;
   d = 288  SL2(17) on the 288 nonzero vectors of F17^2.
 
-Every input is fixed by --seed, so two checkouts time the same work.  chop
+Every input is fixed by SEED, so two checkouts time the same work.  chop
 runs at d = 100 and 144 only: at d = 288 it raises InconclusiveError over
 F3 and F5 at most chop seeds (ROADMAP item 1).  Each layer reports the
-median of --repeats calls.  --src picks the checkout whose chardeg is timed
-(default: the one holding this script); the record names its git commit.
+median of REPEATS calls.  --src picks the chardeg sources to time (default:
+the ones beside this script); the record names their git commit, with
+"-dirty" appended when those sources differ from it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ MODULES = (
     (288, 17, "nonzero-vectors", False),
 )
 PRIMES = (2, 3, 5)
+SEED = 42
+REPEATS = 5
+OUT = ROOT / "BENCH_meataxe.json"
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -91,44 +95,46 @@ def time_layers(seed: int, repeats: int) -> dict:
     return out
 
 
-def _commit(src: Path) -> str | None:
+def _git(src: Path, *args: str) -> str:
     try:
-        res = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=src, capture_output=True, text=True, timeout=30
-        )
+        res = subprocess.run(["git", *args], cwd=src, capture_output=True, text=True, timeout=30)
     except OSError:
+        return ""
+    return res.stdout.strip() if res.returncode == 0 else ""
+
+
+def _commit(src: Path) -> str | None:
+    """The commit of the timed sources; "-dirty" if they differ from it."""
+    head = _git(src, "rev-parse", "--short", "HEAD")
+    if not head:
         return None
-    return res.stdout.strip() or None
+    return head + "-dirty" if _git(src, "status", "--porcelain", "--", ".") else head
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the chardeg package")
     ap.add_argument("--label", required=True, help="what the timed checkout is, e.g. 'parent' or 'change'")
-    ap.add_argument("--commit", help="commit id to record (default: git rev-parse in --src)")
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_meataxe.json")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    layers = time_layers(args.seed, args.repeats)
+    layers = time_layers(SEED, REPEATS)
     record = {
         "label": args.label,
-        "commit": args.commit or _commit(args.src),
+        "commit": _commit(args.src),
         "date": time.strftime("%Y-%m-%d"),
-        "seed": args.seed,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "repeats": REPEATS,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "median_s": {k: round(v, 5) for k, v in layers.items()},
     }
-    records = json.loads(args.out.read_text()) if args.out.exists() else []
+    records = json.loads(OUT.read_text()) if OUT.exists() else []
     records.append(record)
-    args.out.write_text(json.dumps(records, indent=1) + "\n")
+    OUT.write_text(json.dumps(records, indent=1) + "\n")
     for k, v in layers.items():
         print(f"{k:40s} {v * 1000:9.2f} ms")
     return 0

@@ -2,8 +2,8 @@
 
 Everything here is integer arithmetic over small finite fields: group
 enumeration, module decomposition, orbit/stabilizer classification, degree
-set formulas and prime graph analytics.  No floating point is used anywhere
-in a verified code path.
+set formulas and prime graph analytics.  Floating point appears only as an
+exact carrier of integer products below 2^53 (``kernels.mul_mod``).
 """
 
 from chardeg.fields import Field, FieldError, field_make
