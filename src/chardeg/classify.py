@@ -91,7 +91,7 @@ def stabilizer_degree_multiplicities(sub: Subgroup) -> dict[int, int]:
             for _ in range(len(B)):
                 powers.append(powers[-1] @ C % p)
             # C^deg is the first power of C that depends on the ones below it
-            R, piv = rref_prime(np.stack(powers).reshape(len(powers), -1).T, p)
+            R, piv, _ = rref_prime(np.stack(powers).reshape(len(powers), -1).T, p)
             value = np.ones(p, dtype=np.int64)
             for c in R[: piv.size, piv.size][::-1]:
                 value = (value * np.arange(p) - c) % p

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 a verification check failed or ended in an error,
 verify: a check was inconclusive).  All randomized
 procedures key off --seed (or the CHARDEG_SEED environment variable, a
 non-negative integer), and identical invocations produce byte-identical
-JSON.
+JSON, except for the wall-clock seconds in the "timings" block of a
+verify report.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from chardeg.modules import (
     module_from_json,
     natural_restricted,
 )
+from chardeg.numtheory import factorize, is_prime
 from chardeg.orbits import covering_classify, orbit_decompose
 from chardeg.verify import SUITES, report_json, run_checks
 
@@ -48,13 +50,6 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_group(spec: str):
-    name, _, qs = spec.partition(":")
-    if name != "sl2" or not qs.isdigit():
-        raise GroupError(f"group spec must look like sl2:13, got {spec!r}")
-    return sl2_group(int(qs))
-
-
 def _cmd_graph(args) -> int:
     if args.degrees:
         g = graph_from_degrees(args.degrees)
@@ -68,7 +63,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    g = _parse_group(args.group)
+    g = sl2_group(args.group)
     q = g.field.order
     payload = {
         "group": g.to_json(),
@@ -80,7 +75,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_module(args) -> int:
-    g = _parse_group(args.group)
+    g = sl2_group(args.group)
     if args.action == "catalog":
         cat = irreducible_catalog(g, args.char, args.cap, seed=args.seed)
         _emit(cat.to_json(), args.out)
@@ -111,7 +106,7 @@ def _read_module(path: str, group):
 
 
 def _cmd_orbits(args) -> int:
-    group = _parse_group(args.group) if args.group else None
+    group = sl2_group(args.group) if args.group else None
     m = _read_module(args.module, group)
     if args.action == "classify":
         report = covering_classify(m, r=args.r, s=args.s)
@@ -126,15 +121,16 @@ def _cmd_classify(args) -> int:
         rows = inequality_ledger(args.ledger, q_max=args.q_max, ell_max=args.ell_max)
         _emit({"family": args.ledger, "failing": [list(t) for t in rows]}, args.out)
         return 0
-    vgk = frozenset(int(x) for x in args.vgk.split(",")) if args.vgk else frozenset({args.p})
-    d = GroupDescriptor(args.case, args.q, args.p, vgk=vgk)
+    if args.case is None or args.q is None or args.p is None:
+        raise ClassifyError("classify needs --ledger, or --case with --q and --p")
+    d = GroupDescriptor(args.case, args.q, args.p, vgk=args.vgk or frozenset({args.p}))
     report = predicted_cut_vertex_graph(d)
     _emit(report.to_json(), args.out)
     return 0 if report.ok else 1
 
 
 def _cmd_extension(args) -> int:
-    m = _read_module(args.module, _parse_group(args.group))
+    m = _read_module(args.module, sl2_group(args.group))
     ds = semidirect_degrees(m)
     graph = graph_from_degrees(ds)
     payload = {
@@ -165,13 +161,41 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int | None:
+    """text as a positive integer, or None."""
+    text = text.strip()
+    return int(text) if text.isascii() and text.isdigit() and int(text) > 0 else None
+
+
 def _degrees(text: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",")]
-    if not all(part.isascii() and part.isdigit() and int(part) > 0 for part in parts):
+    parts = [_positive(part) for part in text.split(",")]
+    if None in parts:
         raise argparse.ArgumentTypeError(
             f"degrees must be a comma-separated list of positive integers, got {text!r}"
         )
-    return [int(part) for part in parts]
+    return parts
+
+
+def _primes(text: str) -> frozenset[int]:
+    parts = [_positive(part) for part in text.split(",")]
+    if not all(p is not None and is_prime(p) for p in parts):
+        raise argparse.ArgumentTypeError(f"a comma-separated list of primes is needed, got {text!r}")
+    return frozenset(parts)
+
+
+def _prime_power(text: str) -> int:
+    q = _positive(text)
+    if q is None or q >= 1 << 63 or len(factorize(q)) != 1:
+        raise argparse.ArgumentTypeError(f"q must be a prime power below 2^63, got {text!r}")
+    return q
+
+
+def _group(text: str) -> int:
+    """The q of a group spec sl2:q."""
+    name, _, qs = text.partition(":")
+    if name != "sl2":
+        raise argparse.ArgumentTypeError(f"a group spec looks like sl2:13, got {text!r}")
+    return _prime_power(qs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,18 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="build and analyze a degree prime graph")
     p.add_argument("--degrees", type=_degrees, help="comma-separated degree set, e.g. 1,6,15")
     p.add_argument("--family", choices=["psl2", "sl2", "pgl2"])
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=_prime_power)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("group", help="enumerate a matrix group")
-    p.add_argument("--group", required=True, help="compact spec, e.g. sl2:13")
+    p.add_argument("--group", type=_group, required=True, help="compact spec, e.g. sl2:13")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_group)
 
     p = sub.add_parser("module", help="build modules and catalogs")
     p.add_argument("action", choices=["catalog", "natural", "select"])
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", type=_group, required=True)
     p.add_argument("--char", type=int, default=2, help="module field characteristic")
     p.add_argument("--cap", type=int, default=20, help="catalog dimension cap")
     p.add_argument("--dim", type=int)
@@ -214,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="orbit decomposition and covering flags")
     p.add_argument("action", choices=["decompose", "classify"])
     p.add_argument("--module", required=True, help="module JSON file")
-    p.add_argument("--group", help="optional sl2:q spec overriding the stored group")
+    p.add_argument("--group", type=_group, help="optional sl2:q spec overriding the stored group")
     p.add_argument("--r", type=int, help="odd prime dividing q-1")
     p.add_argument("--s", type=int, help="odd prime dividing q+1")
     p.add_argument("--out")
@@ -222,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="predicted cut-vertex graphs and ledgers")
     p.add_argument("--case", choices=["a", "b", "c", "bare", "natural", "six_dim_f3"])
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=_prime_power)
     p.add_argument("--p", type=int, help="the cut prime")
-    p.add_argument("--vgk", help="comma-separated outer degree primes")
+    p.add_argument("--vgk", type=_primes, help="comma-separated outer degree primes")
     p.add_argument("--ledger", help="inequality family name")
     p.add_argument("--q-max", type=int, dest="q_max")
     p.add_argument("--ell-max", type=int, default=8, dest="ell_max")
@@ -232,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("extension", help="degree set of a split module extension")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", type=_group, required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_extension)

@@ -175,7 +175,7 @@ def _field_make(p: int, k: int) -> Field:
     if k < 1:
         raise FieldError("extension degree must be >= 1")
     cap = MAX_ORDER if k == 1 else TABLE_LIMIT
-    if p**k > cap:
+    if k >= cap.bit_length() or p**k > cap:  # 2^k > cap already, without forming p^k
         raise FieldError(f"field order {p}^{k} exceeds the cap {cap}")
     if k == 1:
         return Field(p, 1, (0, 1))
@@ -187,7 +187,12 @@ def _field_make(p: int, k: int) -> Field:
 
 
 def field_from_json(data: dict) -> Field:
-    f = field_make(int(data["p"]), int(data["k"]))
-    if list(f.modulus) != [int(c) for c in data["modulus"]]:
-        raise FieldError(f"non-canonical modulus {data['modulus']} for F_{f.p}^{f.k}")
+    p, k, modulus = data["p"], data["k"], data["modulus"]
+    if type(p) is not int or type(k) is not int:
+        raise FieldError(f"field p and k must be JSON integers, got {p!r} and {k!r}")
+    if not isinstance(modulus, list) or any(type(c) is not int for c in modulus):
+        raise FieldError(f"field modulus must be a list of JSON integers, got {modulus!r}")
+    f = field_make(p, k)
+    if list(f.modulus) != modulus:
+        raise FieldError(f"non-canonical modulus {modulus} for F_{f.p}^{f.k}")
     return f

@@ -5,11 +5,12 @@ of the package: vector orbits, conjugacy classes and power-map cycles are
 all labelled through it.  orbit_stabilizers builds int32 key permutations
 from digit tables and reads every stabilizer off one walk of the group's
 BFS tree over them; bfs_levels is the one reading of that tree's levels.
-rref_prime is the one echelon engine: linalg.rref and the meataxe spin
-both reduce through it.  mul_mod is the one product of module matrices:
-a float64 BLAS product, exact because every integer it forms stays below
-2^53, the approach of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35,
-2008).
+rref_prime is the one echelon engine: linalg, the meataxe's spin and
+split, and the Hom solve all reduce through it, and the source rows it
+reports are how spin records which vectors joined its closure.  mul_mod
+is the one product of module matrices: a float64 BLAS product, exact
+because every integer it forms stays below 2^53, the approach of
+FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
 
 Vectors of a module over F_r are packed into integer keys base r, digit 0
 least significant, matching the scalar index encoding.
@@ -168,19 +169,22 @@ def mul_mod(A, B, p: int) -> np.ndarray:
     return np.matmul(A, np.asarray(B, dtype=np.float64)).astype(np.int64) % p
 
 
-def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form over F_p; returns (reduced, pivot columns).
+def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form over F_p; returns (reduced, pivot columns, sources).
 
     Only the columns nonzero in A can hold pivots, since row operations keep
     a zero column zero.  The pivot row is any row with a nonzero entry, as
     the reduced form is unique; it is zero left of the pivot, so only the
     columns from the pivot on, in the rows nonzero in the pivot column, are
-    eliminated.
+    eliminated.  sources[i] is the row of A swapped into pivot row i: a row
+    not yet a pivot row is its source row plus a combination of the pivot
+    rows so far, so the source rows are independent and span the row space.
     """
     R = np.ascontiguousarray(A, dtype=np.int64) % p
     m = R.shape[0]
+    order = list(range(m))
     pivots = []
-    for col in np.flatnonzero(R.any(axis=0)).tolist():
+    for col in R.any(axis=0).nonzero()[0].tolist():
         row = len(pivots)
         if row == m:
             break
@@ -189,6 +193,7 @@ def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             continue
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
+            order[row], order[pr] = order[pr], order[row]
         piv = R[row, col:]
         if piv[0] != 1:
             piv *= pow(int(piv[0]), p - 2, p)
@@ -199,4 +204,4 @@ def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         if hit.size:
             R[hit, col:] = (R[hit, col:] - f[hit, None] * piv) % p
         pivots.append(col)
-    return R, np.asarray(pivots, dtype=np.int64)
+    return R, np.asarray(pivots, dtype=np.int64), np.asarray(order[: len(pivots)], dtype=np.int64)

@@ -4,7 +4,8 @@ The decomposition engine is a classical randomized meataxe: singular
 elements of the group algebra supply kernel vectors, spinning either
 splits the module or, through Norton's two-sided test, certifies
 irreducibility.  A search that exhausts its budget surfaces as
-InconclusiveError, never as a wrong answer.
+InconclusiveError, never as a wrong answer.  spin is the one closure
+routine; the Hom solve reads its standard basis off the words spin records.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from chardeg.groups import (
     group_from_json,
 )
 from chardeg.kernels import bfs_levels, mul_mod, orbit_labels, rref_prime
-from chardeg.linalg import Subspace, identity_matrix, mat_inv, nullspace, rref
+from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import is_prime
 
 CHOP_DIM_CAP = 512
@@ -281,28 +282,56 @@ def dual(m: GModule) -> GModule:
 
 
 def spin(F: Field, seeds, action_mats, dim: int) -> np.ndarray:
-    """Closure of the seed row vectors under right action by the matrices.
+    """Closure of the seed row vectors under right action by the matrices,
+    as a fully reduced basis whose rows are not in pivot order (see _spin)."""
+    return _spin(F, seeds, action_mats, dim)[0]
 
-    Breadth-first: each round images the whole frontier under every matrix
-    at once and reduces the images against a fully reduced basis, so a
-    vector's coordinates on the basis are its entries in the pivot columns.
-    The rows returned span the closure; they are not in pivot order.
+
+def _spin(F: Field, seeds, action_mats, dim: int) -> tuple[np.ndarray, list]:
+    """spin, with the word that each basis vector stands for.
+
+    Seeds are taken in turn, and a seed joins only when the closure of the
+    earlier ones stops short of it.  Breadth-first: each round images the
+    whole frontier under every matrix at once and reduces the images
+    against a fully reduced basis, so a vector's coordinates on the basis
+    are its entries in the pivot columns.  rref_prime's source rows are the
+    images that joined, and they are the next frontier.
+
+    Returns (basis, rounds).  A round (offset, src) gives the codes
+    src + offset of the words that joined in it, in basis order: word j is
+    seeds[i] when its code is -1 - i, and word parent times action_mats[k]
+    when its code is parent * len(action_mats) + k.  The words are a basis
+    of the closure as well, its standard basis.
     """
-    p = F.p
+    p, g = F.p, len(action_mats)
     stacked = np.concatenate(action_mats, axis=1).astype(np.float64)
-    basis, piv = rref_prime(np.asarray(list(seeds), dtype=np.int64).reshape(-1, dim), p)
-    basis = basis[: piv.size]
-    frontier = basis
-    while frontier.shape[0] and piv.size < dim:
-        imgs = mul_mod(frontier, stacked, p).reshape(-1, dim)
-        imgs = (imgs - mul_mod(imgs[:, piv], basis, p)) % p
-        new, new_piv = rref_prime(imgs, p)
-        new = new[: new_piv.size]
-        basis = (basis - mul_mod(basis[:, new_piv], new, p)) % p
-        basis = np.concatenate([basis, new])
-        piv = np.concatenate([piv, new_piv])
-        frontier = new
-    return basis
+    basis = np.zeros((0, dim), dtype=np.int64)
+    piv = np.zeros(0, dtype=np.int64)
+    rounds = []
+    for i, seed in enumerate(seeds):
+        if piv.size == dim:
+            break
+        frontier, offset = np.asarray(seed, dtype=np.int64).reshape(1, dim) % p, -1 - i
+        while True:
+            # the first seed that joins meets an empty basis: no products then
+            if piv.size:
+                reduced = (frontier - mul_mod(frontier[:, piv], basis, p)) % p
+            else:
+                reduced = frontier
+            new, new_piv, src = rref_prime(reduced, p)
+            if not new_piv.size:
+                break
+            new = new[: new_piv.size]
+            rounds.append((offset, src))
+            offset = piv.size * g
+            if piv.size:
+                new = np.concatenate([(basis - mul_mod(basis[:, new_piv], new, p)) % p, new])
+                new_piv = np.concatenate([piv, new_piv])
+            basis, piv = new, new_piv
+            if piv.size == dim:
+                break
+            frontier = mul_mod(frontier[src], stacked, p).reshape(-1, dim)
+    return basis, rounds
 
 
 def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
@@ -381,13 +410,14 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     comp).  The subspace is invariant iff A W^T == W^T S.
     """
     F, d, p = m.field, m.dim, m.field.p
-    res = rref(F, basis_rows)
-    w = res.rank
+    R, piv, _ = rref_prime(basis_rows, p)
+    w = piv.size
     if not 0 < w < d:
         raise ModuleError("split needs a proper nonzero subspace")
-    W = res.reduced[:w]
-    piv = list(res.pivots)
-    comp = [c for c in range(d) if c not in res.pivots]
+    W = R[:w]
+    comp = np.ones(d, dtype=bool)
+    comp[piv] = False
+    comp = np.flatnonzero(comp)
     subs, quots = [], []
     for A in m.gen_images:
         AWt = mul_mod(A, W.T, p)
@@ -437,51 +467,6 @@ def chop(m: GModule, seed: int = 42) -> list[GModule]:
 # -- hom spaces, isomorphism, endomorphisms -------------------------------------
 
 
-def _standard_basis(m: GModule) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """A basis of m spun from the unit vectors e_0, e_1, ... as generator words.
-
-    Each basis vector is imaged under every generator in turn, and an image
-    outside the span so far joins the basis.  When the span closes short of
-    the whole space, the first unit vector outside it is the next seed.
-    Returns the basis as rows b_j and tree[j] = (parent, gen) when
-    b_j = image(gen) b_parent, or (-1, t) when b_j is the t-th seed.
-    Membership is tested against a fully reduced echelon form of the span.
-    """
-    p, d = m.field.p, m.dim
-    ech = np.zeros((0, d), dtype=np.int64)
-    pivots: list[int] = []
-    basis: list[np.ndarray] = []
-    tree: list[tuple[int, int]] = []
-
-    def join(v: np.ndarray, origin: tuple[int, int]) -> bool:
-        nonlocal ech
-        r = (v - mul_mod(v[pivots], ech, p)) % p
-        nz = np.flatnonzero(r)
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        r = r * pow(int(r[c]), p - 2, p) % p
-        ech = np.concatenate([(ech - np.outer(ech[:, c], r)) % p, r[None]])
-        pivots.append(c)
-        basis.append(v)
-        tree.append(origin)
-        return True
-
-    unit = identity_matrix(d)
-    next_unit = seeds = 0
-    j = 0
-    while len(basis) < d:
-        if j == len(basis):
-            while not join(unit[next_unit], (-1, seeds)):
-                next_unit += 1
-            seeds += 1
-        for g, M in enumerate(m.gen_images):
-            if join(mul_mod(M, basis[j], p), (j, g)) and len(basis) == d:
-                break
-        j += 1
-    return np.asarray(basis), tree
-
-
 def hom_space_dim(m1: GModule, m2: GModule) -> int:
     """dim of {X : image2(g) X = X image1(g) for all generators}.
 
@@ -491,22 +476,31 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
     X b_j = P_j w where P_j (d2 x s*d2) is b_j's generator word evaluated
     in m2.  With C = B^-1 M1 B for each generator, X intertwines exactly
     when M2 P_j - sum_k C[k, j] P_k = 0 for every j, a system in s * d2
-    unknowns rather than the d1 * d2 of the Kronecker-product system.
+    unknowns rather than the d1 * d2 of the Kronecker-product system.  B
+    is spun from the unit vectors e_0, e_1, ... by _spin.
     """
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("hom spaces need the same group and field")
-    p, d2 = m1.field.p, m2.dim
-    basis, tree = _standard_basis(m1)
-    seeds = sum(1 for parent, _ in tree if parent < 0)
-    words = np.zeros((m1.dim, d2, seeds * d2), dtype=np.int64)
-    for j, (parent, k) in enumerate(tree):
-        if parent < 0:  # the k-th seed, whose image is the k-th block of w
-            words[j, :, k * d2 : (k + 1) * d2] = identity_matrix(d2)
+    p, d1, d2 = m1.field.p, m1.dim, m2.dim
+    g = len(m1.gen_images)
+    rounds = _spin(m1.field, identity_matrix(d1), [M.T for M in m1.gen_images], d1)[1]
+    codes = np.concatenate([src + offset for offset, src in rounds])
+    seeds = int((codes < 0).sum())
+    basis = np.zeros((d1, d1), dtype=np.int64)
+    words = np.zeros((d1, d2, seeds * d2), dtype=np.int64)
+    t = 0
+    for j, code in enumerate(codes.tolist()):
+        if code < 0:  # the t-th seed, unit vector -1 - code, whose image is block t of w
+            basis[j, -1 - code] = 1
+            words[j, :, t * d2 : (t + 1) * d2] = identity_matrix(d2)
+            t += 1
         else:  # generator k images b_parent to b_j
+            parent, k = divmod(code, g)
+            basis[j] = mul_mod(m1.gen_images[k], basis[parent], p)
             words[j] = mul_mod(m2.gen_images[k], words[parent], p)
     B = basis.T
     Binv = mat_inv(m1.field, B)
-    flat = words.reshape(m1.dim, -1)
+    flat = words.reshape(d1, -1)
     blocks = []
     for M1, M2 in zip(m1.gen_images, m2.gen_images):
         C = mul_mod(Binv, mul_mod(M1, B, p), p)
@@ -526,14 +520,14 @@ def is_isomorphic(m1: GModule, m2: GModule) -> bool:
     return hom_space_dim(m1, m2) > 0
 
 
-def fixed_subspace(m: GModule, sub: Subgroup) -> Subspace:
-    """Common fixed vectors of a subgroup: the nullspace of the stacked
-    image(g) - I over its generators (the whole space when there are none)."""
+def fixed_subspace(m: GModule, sub: Subgroup) -> np.ndarray:
+    """Basis rows of the common fixed vectors of a subgroup: the nullspace of
+    the stacked image(g) - I over its generators (the whole space when there
+    are none)."""
     if sub.parent is not m.group:
         raise ModuleError("subgroup belongs to a different group")
     rows = [(m.image_of(g) - identity_matrix(m.dim)) % m.field.p for g in sub.generating_set()]
-    basis = nullspace(m.field, np.concatenate([np.zeros((0, m.dim), dtype=np.int64), *rows]))
-    return Subspace(m.field, m.dim, basis)
+    return nullspace(m.field, np.concatenate([np.zeros((0, m.dim), dtype=np.int64), *rows]))
 
 
 # -- catalogs -------------------------------------------------------------------

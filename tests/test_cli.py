@@ -115,6 +115,13 @@ def _set_entry(value):
         (_drop("gen_images"), "malformed module data (KeyError: 'gen_images')"),
         (lambda data: data.update(dim="2"), "dim must be a positive integer"),
         (lambda data: data["field"].pop("k"), "malformed module data (KeyError: 'k')"),
+        (lambda data: data["field"].update(p="x"), "p and k must be JSON integers"),
+        (lambda data: data["field"].update(p=5.0), "p and k must be JSON integers"),
+        (lambda data: data["field"].update(p=2.5), "p and k must be JSON integers"),
+        (lambda data: data["field"].update(k="1"), "p and k must be JSON integers"),
+        (lambda data: data["field"].update(k=10**30), "exceeds the cap"),
+        (lambda data: data["field"].update(modulus=[0, 1.0]), "modulus must be a list of JSON integers"),
+        (lambda data: data["field"].update(modulus="x"), "modulus must be a list of JSON integers"),
         ("{not json", "is not JSON"),
         ("[1, 2]", "malformed module data (TypeError: "),
     ],
@@ -129,14 +136,22 @@ def _set_entry(value):
         "no-gen-images",
         "dim-string",
         "field-no-k",
+        "field-p-string",
+        "field-p-float",
+        "field-p-fraction",
+        "field-k-string",
+        "field-k-huge",
+        "field-modulus-float",
+        "field-modulus-string",
         "not-json",
         "json-list",
     ],
 )
 def test_malformed_module_file_is_a_module_error(tmp_path, capsys, edit, message):
     """A module file edited by hand: an entry that only agrees with a valid
-    one mod 5 or after int(), an image a value short, a missing key, or a
-    file that is not a JSON object, is refused as a ModuleError (exit 2)."""
+    one mod 5 or after int(), an image a value short, a missing key, a field
+    entry that is not a JSON integer, or a file that is not a JSON object, is
+    refused as a ModuleError or FieldError (exit 2)."""
     nat = tmp_path / "nat.json"
     assert run_cli(capsys, "module", "natural", "--group", "sl2:5", "--out", str(nat))[0] == 0
     bad = tmp_path / "bad.json"
@@ -250,6 +265,43 @@ def test_verify_single_suite(capsys, tmp_path):
     assert report["passed"] == len(report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_out_is_byte_identical_outside_timings(capsys, tmp_path):
+    """Two identical runs write the same report once the wall-clock block is
+    set aside, and that block holds one time per check."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert main(["verify", "--suite", "ledgers", "--out", str(path)]) == 0
+    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+    names = [c["name"] for c in ra["checks"]]
+    for report in (ra, rb):
+        assert sorted(report.pop("timings")["elapsed_s"]) == names
+    assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+    assert all(set(c) == {"name", "suite", "status", "expected", "observed"} for c in ra["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["graph", "--family", "sl2", "--q", "6"], "argument --q: q must be a prime power"),
+        (["group", "--group", "sl2:6"], "argument --group: q must be a prime power"),
+        (["group", "--group", "gl2:5"], "argument --group: a group spec looks like sl2:13"),
+        (["classify", "--case", "a", "--q", "6", "--p", "7"], "argument --q: q must be a prime power"),
+        (["classify", "--case", "c", "--q", "13", "--p", "2", "--vgk", "a"], "argument --vgk: a comma-separated list of primes"),
+        (["classify", "--case", "a", "--q", "9"], "classify needs --ledger, or --case with --q and --p"),
+    ],
+    ids=["graph-q-6", "group-sl2-6", "group-gl2", "classify-q-6", "classify-vgk-a", "classify-no-p"],
+)
+def test_bad_arguments_are_a_one_line_usage_error(capsys, argv, message):
+    """A bad value or a missing --p ends in exit 2 with one error line on
+    stderr, not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in captured.err
 
 
 def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):

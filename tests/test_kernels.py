@@ -11,7 +11,7 @@ from chardeg import kernels
 from chardeg.fields import FieldError, field_make
 from chardeg.groups import sl2_group
 from chardeg.linalg import mat_inv
-from chardeg.modules import LINE_ENUM_LIMIT, _kernel_lines, perm_module, spin
+from chardeg.modules import LINE_ENUM_LIMIT, _kernel_lines, _spin, perm_module, spin
 
 
 def _random_invertible(rng, F, n):
@@ -203,14 +203,18 @@ def test_rref_prime_matches_gauss_jordan():
             # low-rank products exercise skipped columns and zero rows
             k = int(rng.integers(1, 5))
             A = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
-            R, piv = kernels.rref_prime(A, p)
+            R, piv, src = kernels.rref_prime(A, p)
             R_ref, piv_ref = _gauss_jordan(A.tolist(), p)
             assert R.tolist() == R_ref
             assert piv.tolist() == piv_ref
+            # the source rows are independent and span the row space
+            R_src, piv_src = _gauss_jordan(A[src].tolist(), p)
+            assert len(piv_src) == src.size == piv.size
+            assert R_src[: piv.size] == R_ref[: piv.size]
 
 
 def _assert_rref_matches_gauss_jordan(A, p):
-    R, piv = kernels.rref_prime(A, p)
+    R, piv, _ = kernels.rref_prime(A, p)
     R_ref, piv_ref = _gauss_jordan(A.tolist(), p)
     assert R.shape == A.shape
     assert R.tolist() == R_ref
@@ -418,3 +422,16 @@ def test_spin_matches_exhaustive_closure():
                 span = _row_span(p, W)
                 assert len(span) == p ** W.shape[0]  # the rows are independent
                 assert span == _closure(p, list(seeds), mats)
+                # the words the codes name are an independent spanning set too
+                basis, rounds = _spin(F, list(seeds), mats, d)
+                codes = [int(c) + offset for offset, src in rounds for c in src]
+                assert np.array_equal(basis, W) and len(codes) == W.shape[0]
+                words = np.zeros(W.shape, dtype=np.int64)
+                for j, code in enumerate(codes):
+                    if code < 0:
+                        words[j] = seeds[-1 - code]
+                    else:
+                        parent, k = divmod(code, len(mats))
+                        assert parent < j
+                        words[j] = words[parent] @ mats[k] % p
+                assert _row_span(p, words) == span

@@ -14,7 +14,8 @@ from chardeg.groups import (
     trivial_subgroup,
     whole_group,
 )
-from chardeg.linalg import identity_matrix, mat_inv, nullspace, rref
+from chardeg.kernels import rref_prime
+from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import prime_divisors
 from chardeg.modules import (
     ModuleError,
@@ -123,8 +124,6 @@ def test_chop_of_projective_perm_matches_bruteforce(g7):
 
 def _bruteforce_composition_dims(m):
     """Composition factor dimensions by exhaustive submodule search (F_2)."""
-    from chardeg.linalg import rref
-
     assert m.field.p == 2 and m.dim <= 8
     act = [g.T.copy() for g in m.gen_images]
     d = m.dim
@@ -132,7 +131,7 @@ def _bruteforce_composition_dims(m):
     for bits in range(1, 1 << d):
         v = np.array([(bits >> k) & 1 for k in range(d)], dtype=np.int64)
         W = spin(m.field, [v], act, d)
-        key = rref(m.field, W).reduced[: W.shape[0]].tobytes()
+        key = rref_prime(W, 2)[0].tobytes()
         submods.setdefault(W.shape[0], {})[key] = W
     # close under sums to get the full lattice
     all_subs = {W.tobytes(): W for bydim in submods.values() for W in bydim.values()}
@@ -142,9 +141,9 @@ def _bruteforce_composition_dims(m):
         items = list(all_subs.values())
         for A, B in itertools.combinations(items, 2):
             stacked = np.concatenate([A, B])
-            res = rref(m.field, stacked)
-            W = res.reduced[: res.rank]
-            if W.tobytes() not in all_subs and res.rank < d:
+            R, piv, _ = rref_prime(stacked, 2)
+            W = R[: piv.size]
+            if W.tobytes() not in all_subs and piv.size < d:
                 all_subs[W.tobytes()] = W
                 changed = True
     # walk a maximal chain 0 < W_1 < ... < V
@@ -158,9 +157,7 @@ def _bruteforce_composition_dims(m):
             if r <= current_rank:
                 continue
             stacked = np.concatenate([current, W])
-            from chardeg.linalg import rref as _rref
-
-            if _rref(m.field, stacked).rank == r:  # current <= W
+            if rref_prime(stacked, 2)[1].size == r:  # current <= W
                 if best is None or r < best.shape[0]:
                     best = W
         if best is None:
@@ -175,11 +172,11 @@ def _split_by_change_of_basis(m, basis_rows):
     """Oracle: the blocks of C^-1 A C, where C holds the RREF basis rows as
     its first columns and the unit vectors of the non-pivot columns after."""
     F, d, p = m.field, m.dim, m.field.p
-    res = rref(F, basis_rows)
-    w = res.rank
-    comp = [c for c in range(d) if c not in res.pivots]
+    R, piv, _ = rref_prime(basis_rows, p)
+    w = piv.size
+    comp = [c for c in range(d) if c not in piv]
     C = np.zeros((d, d), dtype=np.int64)
-    C[:, :w] = res.reduced[:w].T
+    C[:, :w] = R[:w].T
     for j, c in enumerate(comp):
         C[c, w + j] = 1
     Ci = mat_inv(F, C)
@@ -205,7 +202,7 @@ def test_split_module_matches_change_of_basis(q, r, monkeypatch):
         for got, want in zip(sub.gen_images + quot.gen_images, subs + quots):
             assert got.dtype == np.int64 and np.array_equal(got, want)
         other = rng.integers(0, r, size=basis_rows.shape).astype(np.int64)
-        if 0 < rref(m.field, other).rank < m.dim and not _split_by_change_of_basis(m, other)[0]:
+        if 0 < rref_prime(other, r)[1].size < m.dim and not _split_by_change_of_basis(m, other)[0]:
             with pytest.raises(ModuleError, match="not invariant"):
                 real(m, other)
         splits.append(m.dim)
@@ -256,18 +253,18 @@ def test_fixed_subspace_examples(g7):
     cat = irreducible_catalog(g7, 2, 8)
     three = cat.select(dim=3)[0].module
     eight = cat.select(dim=8)[0].module
-    assert fixed_subspace(three, T).dim == 0
-    assert fixed_subspace(eight, T).dim <= 2
+    assert fixed_subspace(three, T).shape[0] == 0
+    assert fixed_subspace(eight, T).shape[0] <= 2
     triv = trivial_module(g7, 2)
-    assert fixed_subspace(triv, whole_group(g7)).dim == 1
+    assert fixed_subspace(triv, whole_group(g7)).shape[0] == 1
 
 
 def test_fixed_subspace_unipotent_on_natural(g5):
     nat = natural_restricted(5, g5)
     T = sylow_char_subgroups(g5)[0]
-    assert fixed_subspace(nat, T).dim == 1
+    assert fixed_subspace(nat, T).shape[0] == 1
     sub = subgroup_from_gens(g5, [T.members[1]])
-    assert fixed_subspace(nat, sub).dim == 1
+    assert fixed_subspace(nat, sub).shape[0] == 1
 
 
 def test_irreducible_count_berman(g7, g5, g4):
@@ -444,8 +441,8 @@ def test_fixed_subspace_matches_exhaustive_count(p):
             for x in sub.members:
                 fixed &= (vecs @ m.element_images[x].T % p == vecs).all(axis=1)
             fs = fixed_subspace(m, sub)
-            assert int(fixed.sum()) == p**fs.dim
-            for v in fs.basis:
+            assert int(fixed.sum()) == p ** fs.shape[0]
+            for v in fs:
                 assert fixed[int(v @ p ** np.arange(m.dim))]
 
 
@@ -540,8 +537,6 @@ def test_hom_space_dim_matches_kronecker_oracle(p):
     is_isomorphic against the oracle.  The pairs cover zero and nonzero
     Hom, unequal dimensions, ell 1 and 2, and a first argument that needs
     more than one seed."""
-    from chardeg.modules import _standard_basis
-
     seen = set()
     for mods in _hom_families(p):
         for m in mods:
@@ -553,36 +548,49 @@ def test_hom_space_dim_matches_kronecker_oracle(p):
             want = _kronecker_hom_dim(m1, m2)
             assert hom_space_dim(m1, m2) == want, (m1.dim, m2.dim)
             assert is_isomorphic(m1, m2) == (m1.dim == m2.dim and want > 0)
-            seeds = sum(1 for parent, _ in _standard_basis(m1)[1] if parent < 0)
+            seeds = int((_unit_closure(m1)[1] < 0).sum())
             seen |= {("zero", want == 0), ("unequal", m1.dim != m2.dim), ("seeds", seeds > 1)}
     for flag in ("zero", "unequal", "seeds"):
         assert (flag, True) in seen and (flag, False) in seen
     assert ("ell", 1) in seen and ("ell", 2) in seen
 
 
-def test_standard_basis_words_rebuild_the_basis(g5):
-    """Each basis vector is its parent imaged by its generator, the seeds are
-    the first unit vectors outside the span so far, and the rows are a basis."""
-    from chardeg.modules import _standard_basis
+def _unit_closure(m):
+    """The closure hom_space_dim solves on: the unit vectors spun by the
+    generators' column action, as (reduced basis, codes)."""
+    from chardeg.modules import _spin
 
+    basis, rounds = _spin(m.field, identity_matrix(m.dim), [M.T for M in m.gen_images], m.dim)
+    return basis, np.concatenate([src + offset for offset, src in rounds])
+
+
+def test_standard_basis_words_rebuild_the_basis(g5):
+    """The closure's tree rebuilds a basis: each word is its parent imaged by
+    its generator, the seeds are the first unit vectors outside the span so
+    far, taken in order, and the words are independent."""
     nat = natural_restricted(5, g5)
     for m in (nat, _direct_sum(nat, nat), _direct_sum(trivial_module(g5, 5), nat), tensor(nat, nat)):
-        basis, tree = _standard_basis(m)
-        assert rref(m.field, basis).rank == m.dim
-        for j, (parent, g) in enumerate(tree):
-            if parent >= 0:
+        d, g = m.dim, len(m.gen_images)
+        basis, codes = _unit_closure(m)
+        assert basis.shape == (d, d) and codes.shape == (d,)
+        unit = identity_matrix(d)
+        words = np.zeros((d, d), dtype=np.int64)
+        for j, code in enumerate(codes.tolist()):
+            if code >= 0:
+                parent, k = divmod(code, g)
                 assert parent < j
-                assert np.array_equal(basis[j], m.gen_images[g] @ basis[parent] % 5)
+                words[j] = m.gen_images[k] @ words[parent] % 5
             else:
-                u = int(np.flatnonzero(basis[j])[0])
-                assert basis[j].sum() == 1 and basis[j, u] == 1
-                unit = identity_matrix(m.dim)
+                u = -1 - code
+                words[j] = unit[u]
                 for v in range(u + 1):
-                    spanned = rref(m.field, np.concatenate([basis[:j], unit[v : v + 1]])).rank == j
+                    spanned = rref_prime(np.concatenate([words[:j], unit[v : v + 1]]), 5)[1].size == j
                     assert spanned == (v < u)
-        assert [g for parent, g in tree if parent < 0] == list(range(sum(1 for t in tree if t[0] < 0)))
-    doubled = _standard_basis(_direct_sum(nat, nat))[1]
-    assert [j for j, t in enumerate(doubled) if t[0] < 0] == [0, 2]
+        assert rref_prime(words, 5)[1].size == d
+        seeds = [-1 - c for c in codes.tolist() if c < 0]
+        assert seeds == sorted(seeds)
+    doubled = _unit_closure(_direct_sum(nat, nat))[1]
+    assert np.flatnonzero(doubled < 0).tolist() == [0, 2]
 
 
 # sha256 of the chop factors' generator images, each as little-endian int64
