@@ -176,6 +176,13 @@ def _degrees(text: str) -> list[int]:
     return parts
 
 
+def _prime(text: str) -> int:
+    p = _positive(text)
+    if p is None or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"a prime is needed, got {text!r}")
+    return p
+
+
 def _primes(text: str) -> frozenset[int]:
     parts = [_positive(part) for part in text.split(",")]
     if not all(p is not None and is_prime(p) for p in parts):
@@ -191,11 +198,14 @@ def _prime_power(text: str) -> int:
 
 
 def _group(text: str) -> int:
-    """The q of a group spec sl2:q."""
+    """The q of a group spec sl2:q; q < 4 is refused here, q > 49 by sl2_group's cap."""
     name, _, qs = text.partition(":")
     if name != "sl2":
         raise argparse.ArgumentTypeError(f"a group spec looks like sl2:13, got {text!r}")
-    return _prime_power(qs)
+    q = _prime_power(qs)
+    if q < 4:
+        raise argparse.ArgumentTypeError(f"sl2:q needs q >= 4, got {text!r}")
+    return q
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["decompose", "classify"])
     p.add_argument("--module", required=True, help="module JSON file")
     p.add_argument("--group", type=_group, help="optional sl2:q spec overriding the stored group")
-    p.add_argument("--r", type=int, help="odd prime dividing q-1")
-    p.add_argument("--s", type=int, help="odd prime dividing q+1")
+    p.add_argument("--r", type=_prime, help="odd prime dividing q-1")
+    p.add_argument("--s", type=_prime, help="odd prime dividing q+1")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser("classify", help="predicted cut-vertex graphs and ledgers")
     p.add_argument("--case", choices=["a", "b", "c", "bare", "natural", "six_dim_f3"])
     p.add_argument("--q", type=_prime_power)
-    p.add_argument("--p", type=int, help="the cut prime")
+    p.add_argument("--p", type=_prime, help="the cut prime")
     p.add_argument("--vgk", type=_primes, help="comma-separated outer degree primes")
     p.add_argument("--ledger", help="inequality family name")
     p.add_argument("--q-max", type=int, dest="q_max")

@@ -3,7 +3,10 @@
 A GroupTable stores every element as a 2x2 matrix of scalar indices,
 closed by breadth-first search from a fixed generator set.  The BFS
 parent links double as generator words, so any representation defined on
-the generators extends to all elements by replaying the closure.
+the generators extends to all elements by replaying the closure.  Element
+arithmetic is batched: products and inverses of matrix stacks
+(_batch_mul, _batch_inv_det1, _powers), and one sorted-key index that
+maps a stack of matrices back to element positions.
 """
 
 from __future__ import annotations
@@ -68,12 +71,8 @@ class GroupTable:
 
     # -- closure --------------------------------------------------------------
 
-    def _key(self, m) -> int:
-        q = self.field.order
-        return ((int(m[0, 0]) * q + int(m[0, 1])) * q + int(m[1, 0])) * q + int(m[1, 1])
-
     def _keys(self, mats: np.ndarray) -> np.ndarray:
-        """_key of every matrix in a stack, as one int64 array."""
+        """The base-q key of every matrix in a stack (its entries as digits), as int64."""
         q = self.field.order
         return ((mats[..., 0, 0] * q + mats[..., 0, 1]) * q + mats[..., 1, 0]) * q + mats[..., 1, 1]
 
@@ -111,7 +110,8 @@ class GroupTable:
             total += new.size
         self.elems = np.ascontiguousarray(np.concatenate(elems), dtype=np.int64)
         self.elems.flags.writeable = False
-        self.key_index = dict(zip(self._keys(self.elems).tolist(), range(total)))
+        self._sorted_keys = seen
+        self._key_positions = np.argsort(self._keys(self.elems))
         self.parent = np.concatenate(parents)
         self.parent_gen = np.concatenate(parent_gens)
 
@@ -121,24 +121,13 @@ class GroupTable:
     def order(self) -> int:
         return int(self.elems.shape[0])
 
-    def index_of(self, mat: np.ndarray) -> int:
-        return self.key_index[self._key(np.asarray(mat, dtype=np.int64))]
-
-    def mult(self, i: int, j: int) -> int:
-        F = self.field
-        a, b = self.elems[i], self.elems[j]
-        if F.is_prime_field:
-            return self.index_of((a @ b) % F.p)
-        return self.index_of(_batch_mul(F, a, b))
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """inverse[i] = index of elems[i]^-1."""
-        inv_mats = _batch_inv_det1(self.field, self.elems)
-        return self.indices_of_matrices(inv_mats)
-
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
-        return np.asarray([self.key_index[k] for k in self._keys(mats).tolist()], dtype=np.int64)
+        """Element position of every matrix in a stack, by one search of the sorted keys."""
+        keys = self._keys(mats)
+        at = np.searchsorted(self._sorted_keys, keys).clip(max=self.order - 1)
+        if (self._sorted_keys[at] != keys).any():
+            raise GroupError("a matrix is not an element of the group")
+        return self._key_positions[at]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator word (indices into gens) whose product is element i."""
@@ -344,7 +333,7 @@ def sylow(group: GroupTable, p: int, seed: int = 42) -> Subgroup:
             op = p_part(o, p)
             if op == 1:
                 continue
-            y = _power_index(group, x, o // op)
+            y = int(_powers(group, [x], o // op)[0])
             if y == 0 or y in members:
                 continue
             cand = _close_indices(group, gens + [y])
@@ -355,15 +344,18 @@ def sylow(group: GroupTable, p: int, seed: int = 42) -> Subgroup:
     raise BudgetExceeded(f"sylow({p}) search budget exhausted")
 
 
-def _power_index(group: GroupTable, x: int, n: int) -> int:
-    out = 0
-    base = x
+def _powers(group: GroupTable, positions, n: int) -> np.ndarray:
+    """Positions of x^n for the elements x at the given positions (n >= 0)."""
+    F = group.field
+    base = group.elems[np.asarray(positions, dtype=np.int64)]
+    out = np.broadcast_to(group.elems[0], base.shape)
     while n:
         if n & 1:
-            out = group.mult(out, base)
-        base = group.mult(base, base)
+            out = _batch_mul(F, out, base)
         n >>= 1
-    return out
+        if n:
+            base = _batch_mul(F, base, base)
+    return group.indices_of_matrices(out)
 
 
 def sylow_char_subgroups(group: GroupTable) -> list[Subgroup]:
@@ -407,8 +399,8 @@ def count_normalized_sylow(group: GroupTable, r_sub: Subgroup, t: int) -> int:
     F = group.field
     probes = group.elems[[T.members[1] for T in sylows]]
     fixed = np.ones(len(sylows), dtype=bool)
-    for g in r_sub.generating_set():
-        conj = _batch_mul(F, _batch_mul(F, group.elems[group.inverse[g]], probes), group.elems[g])
+    for g in group.elems[list(r_sub.generating_set())]:
+        conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, g), probes), g)
         fixed &= owner[group.indices_of_matrices(conj)] == np.arange(len(sylows))
     return int(fixed.sum())
 

@@ -22,7 +22,8 @@ from chardeg.groups import (
     GroupError,
     GroupTable,
     Subgroup,
-    _power_index,
+    _batch_mul,
+    _powers,
     group_from_json,
 )
 from chardeg.kernels import bfs_levels, mul_mod, orbit_labels, rref_prime
@@ -109,9 +110,12 @@ class GModule:
         return len(self.kernel_indices) == 1
 
     def fingerprint(self) -> tuple[int, ...]:
-        """Sorted traces of the images of the first FINGERPRINT_COUNT canonical elements."""
-        n = min(FINGERPRINT_COUNT, self.group.order)
-        return tuple(sorted(int(np.trace(self.image_of(i))) % self.field.p for i in range(n)))
+        """Sorted traces of the images of the first FINGERPRINT_COUNT canonical elements.
+
+        A trace is a class function, so each is read off class_traces.
+        """
+        classes = self.group.conjugacy_classes[:FINGERPRINT_COUNT]
+        return tuple(sorted(np.asarray(self.class_traces)[classes].tolist()))
 
     @cached_property
     def class_traces(self) -> tuple[int, ...]:
@@ -157,17 +161,13 @@ def module_from_json(data: dict, group: GroupTable | None = None) -> GModule:
 
 
 def validate_homomorphism(m: GModule, samples: int = 100, seed: int = 42) -> bool:
-    """Spot-check image(xy) == image(x)image(y) on random element pairs."""
-    rng = np.random.default_rng(seed)
-    n = m.group.order
-    for _ in range(samples):
-        x = int(rng.integers(n))
-        y = int(rng.integers(n))
-        lhs = m.image_of(m.group.mult(x, y))
-        rhs = mul_mod(m.image_of(x), m.image_of(y), m.field.p)
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    """Spot-check image(xy) == image(x)image(y) on random element pairs, in one batch
+    over the element image table (dim <= 64)."""
+    g = m.group
+    x, y = np.random.default_rng(seed).integers(g.order, size=(2, samples))
+    xy = g.indices_of_matrices(_batch_mul(g.field, g.elems[x], g.elems[y]))
+    imgs = m.element_images
+    return bool((imgs[xy] == mul_mod(imgs[x], imgs[y], m.field.p)).all())
 
 
 # -- constructors --------------------------------------------------------------
@@ -186,39 +186,27 @@ def perm_module(group: GroupTable, action: str, r: int) -> GModule:
     F = group.field
     q = F.order
     if action == "nonzero-vectors":
-        domain = [(x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)]
-
-        def act(g, pt):
-            x, y = pt
-            return (
-                F.add(F.mul(int(g[0, 0]), x), F.mul(int(g[0, 1]), y)),
-                F.add(F.mul(int(g[1, 0]), x), F.mul(int(g[1, 1]), y)),
-            )
-
+        xs, ys = np.divmod(np.arange(1, q * q), q)
     elif action == "projective-points":
-        domain = [(1, y) for y in range(q)] + [(0, 1)]
-
-        def act(g, pt):
-            x, y = pt
-            nx = F.add(F.mul(int(g[0, 0]), x), F.mul(int(g[0, 1]), y))
-            ny = F.add(F.mul(int(g[1, 0]), x), F.mul(int(g[1, 1]), y))
-            if nx != 0:
-                s = F.inv(nx)
-                return (1, F.mul(s, ny))
-            return (0, 1)
-
+        xs = np.r_[0, np.ones(q, dtype=np.int64)]
+        ys = np.r_[1, np.arange(q)]
     else:
         raise ModuleError(f"unknown action {action!r}")
-    if len(domain) > PERM_DOMAIN_CAP:
-        raise CapExceeded(f"action domain of size {len(domain)} exceeds {PERM_DOMAIN_CAP}")
-    domain = sorted(domain)
-    index = {pt: i for i, pt in enumerate(domain)}
-    n = len(domain)
+    n = xs.size
+    if n > PERM_DOMAIN_CAP:
+        raise CapExceeded(f"action domain of size {n} exceeds {PERM_DOMAIN_CAP}")
+    # the domain (x, y) in ascending order of its key x*q + y; column i is where point i goes
+    keys = xs * q + ys
+    points = np.stack([xs, ys], axis=1)[:, :, None]
+    mul, inv = F.tables[1], F.tables[3]
     images = []
     for g in group.gens:
+        x, y = _batch_mul(F, g, points)[:, :, 0].T
+        image = x * q + y
+        if action == "projective-points":  # the point (1, y/x), or (0, 1) when x = 0
+            image = np.where(x != 0, q + mul[inv[x], y], 1)
         M = np.zeros((n, n), dtype=np.int64)
-        for i, pt in enumerate(domain):
-            M[index[act(g, pt)], i] = 1
+        M[np.searchsorted(keys, image), np.arange(n)] = 1
         images.append(M)
     return GModule(group, field_make(r), images, check=False)
 
@@ -596,7 +584,7 @@ def irreducible_count(group: GroupTable, r: int) -> int:
     regular = np.flatnonzero(group.element_orders[reps] % r != 0)
     position = np.full(reps.size, -1, dtype=np.int64)
     position[regular] = np.arange(regular.size)
-    step = position[cls[[_power_index(group, int(reps[c]), r) for c in regular]]]
+    step = position[cls[_powers(group, reps[regular], r)]]
     if (step < 0).any():
         raise GroupError("power map left the regular classes")
     if (np.bincount(step, minlength=regular.size) != 1).any():

@@ -17,6 +17,7 @@ import numpy as np
 from chardeg.kernels import orbit_stabilizers
 from chardeg.groups import CapExceeded, GroupError, Subgroup, contains_normal_full_sylow
 from chardeg.modules import GModule, ModuleError
+from chardeg.numtheory import is_prime
 
 ORBIT_SPACE_CAP = 3**12
 
@@ -132,11 +133,11 @@ def covering_classify(m: GModule, r: int | None = None, s: int | None = None) ->
     t = m.group.field.p
     primes = {}
     if r is not None:
-        if r % 2 == 0 or (q - 1) % r != 0:
+        if r % 2 == 0 or (q - 1) % r != 0 or not is_prime(r):
             raise ModuleError(f"r={r} must be an odd prime divisor of q-1={q-1}")
         primes["minus"] = r
     if s is not None:
-        if s % 2 == 0 or (q + 1) % s != 0:
+        if s % 2 == 0 or (q + 1) % s != 0 or not is_prime(s):
             raise ModuleError(f"s={s} must be an odd prime divisor of q+1={q+1}")
         primes["plus"] = s
     primes["char"] = t

@@ -686,10 +686,11 @@ CHECK_ERRORS = (
 )
 
 
-def run_checks(suite: str = "all", seed: int = 42) -> list[CheckResult]:
+def run_checks(suite: str = "all", seed: int = 42, harness: Harness | None = None) -> list[CheckResult]:
+    """Run the suite's checks on a fresh Harness(seed), or on the given harness and its caches."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    h = Harness(seed=seed)
+    h = Harness(seed=seed) if harness is None else harness
     results = []
     for name, s, fn in CHECKS:
         if suite != "all" and s != suite:

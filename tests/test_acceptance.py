@@ -12,9 +12,9 @@ _RESULTS = {}
 
 
 @pytest.fixture(scope="module")
-def results():
+def results(harness):
     if not _RESULTS:
-        for r in run_checks("all", seed=42):
+        for r in run_checks("all", harness=harness):
             _RESULTS[r.name] = r
     return _RESULTS
 

@@ -22,7 +22,7 @@ from chardeg.classify import (
 )
 from chardeg.fields import field_make
 from chardeg.graphs import analyze, degree_set, graph_from_degrees
-from chardeg.groups import _batch_mul, sl2_group, subgroup_from_gens, whole_group
+from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group, subgroup_from_gens, whole_group
 from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
 from chardeg.linalg import nullspace
 from chardeg.modules import dual, irreducible_catalog, natural_restricted
@@ -131,12 +131,10 @@ def test_semidirect_rejects_fixed_vectors():
         semidirect_degrees(trivial_module(g, 3))
 
 
-def test_semidirect_six_dim_case():
+def test_semidirect_six_dim_case(harness):
     from chardeg.modules import endo_dim, is_irreducible
 
-    g = sl2_group(13)
-    cat = irreducible_catalog(g, 3, 12)
-    m = cat.select(dim=6, faithful=True)[0].module
+    m = harness.entry(13, 3, 6, faithful=True)[0].module
     assert is_irreducible(m)
     assert endo_dim(m) == 1
     ds = semidirect_degrees(m)
@@ -169,7 +167,7 @@ def test_stabilizer_degree_table():
 def test_stabilizer_degree_frobenius():
     g7 = sl2_group(7)
     # 7:3 Frobenius subgroup: a transvection and an order-3 torus element
-    unip = g7.index_of(np.array([[1, 1], [0, 1]], dtype=np.int64))
+    unip = int(g7.indices_of_matrices(np.array([[[1, 1], [0, 1]]], dtype=np.int64))[0])
     orders = g7.element_orders
     diag3 = next(
         i
@@ -272,12 +270,11 @@ def test_stabilizer_degrees_match_the_table_oracle(small_sweep_stabilizers):
 
 def _brute_force_class_count(sub):
     g = sub.parent
-    return len(
-        {
-            frozenset(g.mult(g.mult(int(g.inverse[y]), x), y) for y in sub.members)
-            for x in sub.members
-        }
-    )
+    F = g.field
+    ys = g.elems[list(sub.members)]
+    y_inv = _batch_inv_det1(F, ys)
+    conjugates = (_batch_mul(F, _batch_mul(F, y_inv, g.elems[x]), ys) for x in sub.members)
+    return len({frozenset(g.indices_of_matrices(c).tolist()) for c in conjugates})
 
 
 #: (name, order, element-order counts, degree multiplicities); the counts

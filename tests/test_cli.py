@@ -290,8 +290,25 @@ def test_verify_out_is_byte_identical_outside_timings(capsys, tmp_path):
         (["classify", "--case", "a", "--q", "6", "--p", "7"], "argument --q: q must be a prime power"),
         (["classify", "--case", "c", "--q", "13", "--p", "2", "--vgk", "a"], "argument --vgk: a comma-separated list of primes"),
         (["classify", "--case", "a", "--q", "9"], "classify needs --ledger, or --case with --q and --p"),
+        (["classify", "--case", "a", "--q", "9", "--p", "4"], "argument --p: a prime is needed"),
+        (["orbits", "classify", "--module", "m.json", "--r", "9"], "argument --r: a prime is needed"),
+        (["orbits", "classify", "--module", "m.json", "--s", "x"], "argument --s: a prime is needed"),
+        (["group", "--group", "sl2:3"], "argument --group: sl2:q needs q >= 4"),
+        (["group", "--group", "sl2:2"], "argument --group: sl2:q needs q >= 4"),
     ],
-    ids=["graph-q-6", "group-sl2-6", "group-gl2", "classify-q-6", "classify-vgk-a", "classify-no-p"],
+    ids=[
+        "graph-q-6",
+        "group-sl2-6",
+        "group-gl2",
+        "classify-q-6",
+        "classify-vgk-a",
+        "classify-no-p",
+        "classify-p-4",
+        "orbits-r-9",
+        "orbits-s-x",
+        "group-sl2-3",
+        "group-sl2-2",
+    ],
 )
 def test_bad_arguments_are_a_one_line_usage_error(capsys, argv, message):
     """A bad value or a missing --p ends in exit 2 with one error line on

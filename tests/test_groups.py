@@ -4,8 +4,12 @@ import pytest
 from chardeg.fields import field_make
 from chardeg.groups import (
     CapExceeded,
+    GroupError,
     GroupTable,
     Subgroup,
+    _batch_inv_det1,
+    _batch_mul,
+    _powers,
     center,
     contains_normal_full_sylow,
     count_normalized_sylow,
@@ -30,6 +34,18 @@ def g5():
     return sl2_group(5)
 
 
+def _mult(g, i, j):
+    """Position of the product elems[i] elems[j], one product at a time."""
+    return int(g.indices_of_matrices(_batch_mul(g.field, g.elems[i], g.elems[j])[None])[0])
+
+
+def _conj(g, x, k):
+    """Position of elems[k]^-1 elems[x] elems[k], one product at a time."""
+    F, m = g.field, g.elems[k]
+    conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, m), g.elems[x]), m)
+    return int(g.indices_of_matrices(conj[None])[0])
+
+
 @pytest.mark.parametrize("q,order", [(4, 60), (5, 120), (7, 336), (9, 720)])
 def test_sl2_orders(q, order):
     assert sl2_group(q).order == order == q * (q * q - 1)
@@ -43,17 +59,38 @@ def test_sl2_cap():
 def test_words_multiply_out(g7):
     rng = np.random.default_rng(1)
     for i in rng.integers(0, g7.order, size=25):
-        word = g7.word(int(i))
-        acc = 0  # identity index
-        for gi in word:
-            acc = g7.mult(acc, g7.index_of(g7.gens[gi]))
-        assert acc == int(i)
+        acc = np.eye(2, dtype=np.int64)
+        for gi in g7.word(int(i)):
+            acc = _batch_mul(g7.field, acc, g7.gens[gi])
+        assert g7.indices_of_matrices(acc[None]).tolist() == [int(i)]
 
 
 def test_inverse_table(g7):
-    rng = np.random.default_rng(2)
-    for i in rng.integers(0, g7.order, size=25):
-        assert g7.mult(int(i), int(g7.inverse[i])) == 0
+    inverse = g7.indices_of_matrices(_batch_inv_det1(g7.field, g7.elems))
+    assert (g7.indices_of_matrices(_batch_mul(g7.field, g7.elems, g7.elems[inverse])) == 0).all()
+    assert np.array_equal(inverse[inverse], np.arange(g7.order))
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_powers_match_repeated_products(q):
+    g = sl2_group(q)
+    every = np.arange(g.order)
+    acc = np.broadcast_to(np.eye(2, dtype=np.int64), g.elems.shape)
+    for n in range(13):
+        assert np.array_equal(_powers(g, every, n), g.indices_of_matrices(acc))
+        acc = _batch_mul(g.field, acc, g.elems)
+
+
+def test_indices_of_matrices_refuses_a_non_element():
+    # the upper Borel subgroup of SL2(5): a lower unitriangular matrix is outside it
+    borel = np.asarray([[[1, 1], [0, 1]], [[2, 0], [0, 3]]], dtype=np.int64)
+    g = GroupTable(field_make(5), borel)
+    assert g.order == 20
+    outside = np.asarray([[[1, 0], [1, 1]]], dtype=np.int64)
+    with pytest.raises(GroupError, match="not an element"):
+        g.indices_of_matrices(np.concatenate([g.elems[:3], outside]))
+    with pytest.raises(GroupError, match="not an element"):
+        g.indices_of_matrices(np.full((1, 2, 2), 4, dtype=np.int64))  # above every key
 
 
 def test_element_orders_divide_group_order(g7):
@@ -84,7 +121,7 @@ def test_normalizer_of_char_sylow(g7):
     # T fixes the point (0, 1): its normalizer is the lower Borel subgroup,
     # generated by the lower unitriangular and the diagonal generator
     T = sylow_char_subgroups(g7)[0]
-    N = subgroup_from_gens(g7, [g7.index_of(g7.gens[1]), g7.index_of(g7.gens[3])])
+    N = subgroup_from_gens(g7, g7.indices_of_matrices(g7.gens[[1, 3]]))
     assert set(T.members) <= set(N.members)
     assert N.order == 42  # 336 / 8 conjugates
     assert contains_normal_full_sylow(g7, N, 7)
@@ -208,7 +245,7 @@ def _assert_closure_matches_oracle(g):
     assert np.array_equal(g.elems, elems)
     assert np.array_equal(g.parent, parent)
     assert np.array_equal(g.parent_gen, parent_gen)
-    assert g.key_index == {g._key(m): i for i, m in enumerate(elems)}
+    assert np.array_equal(g.indices_of_matrices(elems), np.arange(len(elems)))
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -236,8 +273,8 @@ def test_generator_major_scan_fails_the_oracle():
 @pytest.mark.parametrize("q", (4, 5, 7, 8, 9, 16))
 def test_center_and_classes_match_mult_oracles(q):
     g = sl2_group(q)
-    gen_idx = [g.index_of(m) for m in g.gens]
-    members = [i for i in range(g.order) if all(g.mult(i, k) == g.mult(k, i) for k in gen_idx)]
+    gen_idx = g.indices_of_matrices(g.gens).tolist()
+    members = [i for i in range(g.order) if all(_mult(g, i, k) == _mult(g, k, i) for k in gen_idx)]
     assert center(g).members == tuple(members)
     # depth-first search over generator conjugates, numbering by least member
     cls = np.full(g.order, -1, dtype=np.int64)
@@ -250,7 +287,7 @@ def test_center_and_classes_match_mult_oracles(q):
         while stack:
             x = stack.pop()
             for k in gen_idx:
-                y = g.mult(g.mult(int(g.inverse[k]), x), k)
+                y = _conj(g, x, k)
                 if cls[y] < 0:
                     cls[y] = nxt
                     stack.append(y)
@@ -272,7 +309,7 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
     for sub in subs:
         gens = sub.generating_set()
         expected = sum(
-            all(owner[g.mult(g.mult(int(g.inverse[k]), T.members[1]), k)] == i for k in gens)
+            all(owner[_conj(g, T.members[1], k)] == i for k in gens)
             for i, T in enumerate(sylows)
         )
         assert count_normalized_sylow(g, sub, t) == expected
@@ -310,11 +347,11 @@ def test_sylow_char_subgroups_match_per_element_buckets(q):
 
 
 def _normal_full_sylow_by_mult(g, sub, r):
-    """contains_normal_full_sylow as a closure test over g.mult pairs."""
+    """contains_normal_full_sylow as a closure test over single products."""
     full = p_part(g.order, r)
     relems = [m for m in sub.members if full % int(g.element_orders[m]) == 0]
     return len(relems) == full and all(
-        g.mult(x, y) in set(relems) for x in relems for y in relems
+        _mult(g, x, y) in set(relems) for x in relems for y in relems
     )
 
 
@@ -343,19 +380,17 @@ def _two_sided_closure(group, gen_positions):
         if g not in members:
             members.add(g)
             queue.append(g)
+    F, gens = group.field, group.elems[gen_positions]
     pos = 0
     while pos < len(queue):
-        x = queue[pos]
+        x = group.elems[queue[pos]]
         pos += 1
-        for g in gen_positions:
-            y = group.mult(x, g)
+        # x times each generator, then each generator times x
+        prods = np.concatenate([_batch_mul(F, x, gens), _batch_mul(F, gens, x)])
+        for y in group.indices_of_matrices(prods).tolist():
             if y not in members:
                 members.add(y)
                 queue.append(y)
-            z = group.mult(g, x)
-            if z not in members:
-                members.add(z)
-                queue.append(z)
     return sorted(members)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from chardeg.fields import field_make
 from chardeg.groups import (
+    _batch_mul,
     sl2_group,
     subgroup_from_gens,
     sylow,
@@ -301,10 +302,10 @@ def test_irreducible_count_broken_power_map_is_a_group_error(g5, monkeypatch):
     from chardeg.groups import GroupError
 
     involution = int(np.flatnonzero(g5.element_orders == 2)[0])
-    monkeypatch.setattr(modules, "_power_index", lambda group, x, n: involution)
+    monkeypatch.setattr(modules, "_powers", lambda group, xs, n: np.full(len(xs), involution))
     with pytest.raises(GroupError, match="left the regular classes"):
         irreducible_count(g5, 2)
-    monkeypatch.setattr(modules, "_power_index", lambda group, x, n: 0)
+    monkeypatch.setattr(modules, "_powers", lambda group, xs, n: np.zeros(len(xs), dtype=np.int64))
     with pytest.raises(GroupError, match="not a permutation"):
         irreducible_count(g5, 3)
 
@@ -322,6 +323,19 @@ def test_catalog_entries_pairwise_noniso(g7):
     mods = [e.module for e in cat.entries]
     for a, b in itertools.combinations(mods, 2):
         assert not is_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("q,r", [(7, 2), (9, 3), (11, 3)])
+def test_fingerprint_matches_word_replay(harness, q, r):
+    """fingerprint reads class_traces; the oracle replays the generator words
+    of the first FINGERPRINT_COUNT elements and takes their traces."""
+    from chardeg.modules import FINGERPRINT_COUNT
+
+    for e in harness.catalog(q, r).entries:
+        m = e.module
+        n = min(FINGERPRINT_COUNT, m.group.order)
+        replayed = sorted(int(np.trace(m.image_of(i))) % r for i in range(n))
+        assert e.fingerprint == m.fingerprint() == tuple(replayed)
 
 
 def test_catalog_fingerprints_deterministic(g7):
@@ -364,7 +378,8 @@ def test_module_images_consistency(g5):
     rng = np.random.default_rng(0)
     for _ in range(100):
         x, y = (int(v) for v in rng.integers(0, g5.order, size=2))
-        lhs = imgs[g5.mult(x, y)]
+        xy = g5.indices_of_matrices(_batch_mul(g5.field, g5.elems[x], g5.elems[y])[None])[0]
+        lhs = imgs[xy]
         rhs = imgs[x] @ imgs[y] % 5
         assert np.array_equal(lhs, rhs)
 

@@ -110,6 +110,16 @@ def test_covering_requires_odd_divisors(g4, cat42):
         covering_classify(omega, s=3)  # 3 does not divide q + 1 = 5
 
 
+def test_covering_refuses_an_odd_non_prime_divisor():
+    from chardeg.modules import ModuleError
+
+    m = natural_restricted(19)
+    with pytest.raises(ModuleError, match="r=9 must be an odd prime divisor"):
+        covering_classify(m, r=9)  # 9 is odd and divides q - 1 = 18
+    with pytest.raises(ModuleError, match="s=9 must be an odd prime divisor"):
+        covering_classify(natural_restricted(17), s=9)  # 9 is odd and divides q + 1 = 18
+
+
 def test_sylow_centralizer_condition_examples(g4):
     nat = orbit_decompose(natural_restricted(4, g4))
     assert sylow_centralizer_condition(nat, 2)
