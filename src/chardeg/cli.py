@@ -167,6 +167,13 @@ def _positive(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() and int(text) > 0 else None
 
 
+def _positive_int(text: str) -> int:
+    n = _positive(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"a positive integer is needed, got {text!r}")
+    return n
+
+
 def _degrees(text: str) -> list[int]:
     parts = [_positive(part) for part in text.split(",")]
     if None in parts:
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["catalog", "natural", "select"])
     p.add_argument("--group", type=_group, required=True)
     p.add_argument("--char", type=int, default=2, help="module field characteristic")
-    p.add_argument("--cap", type=int, default=20, help="catalog dimension cap")
+    p.add_argument("--cap", type=_positive_int, default=20, help="catalog dimension cap")
     p.add_argument("--dim", type=int)
     p.add_argument("--faithful", action="store_true", default=None)
     p.add_argument("--ell", type=int)
@@ -260,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_prime, help="the cut prime")
     p.add_argument("--vgk", type=_primes, help="comma-separated outer degree primes")
     p.add_argument("--ledger", help="inequality family name")
-    p.add_argument("--q-max", type=int, dest="q_max")
-    p.add_argument("--ell-max", type=int, default=8, dest="ell_max")
+    p.add_argument("--q-max", type=_positive_int, dest="q_max")
+    p.add_argument("--ell-max", type=_positive_int, default=8, dest="ell_max")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_classify)
 

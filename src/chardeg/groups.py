@@ -3,7 +3,7 @@
 A GroupTable stores every element as a 2x2 matrix of scalar indices,
 closed by breadth-first search from a fixed generator set.  The BFS
 parent links double as generator words, so any representation defined on
-the generators extends to all elements by replaying the closure.  Element
+the generators extends to the elements by walking that tree.  Element
 arithmetic is batched: products and inverses of matrix stacks
 (_batch_mul, _batch_inv_det1, _powers), and one sorted-key index that
 maps a stack of matrices back to element positions.
@@ -128,14 +128,6 @@ class GroupTable:
         if (self._sorted_keys[at] != keys).any():
             raise GroupError("a matrix is not an element of the group")
         return self._key_positions[at]
-
-    def word(self, i: int) -> tuple[int, ...]:
-        """Generator word (indices into gens) whose product is element i."""
-        out = []
-        while i != 0:
-            out.append(int(self.parent_gen[i]))
-            i = int(self.parent[i])
-        return tuple(reversed(out))
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -301,14 +293,6 @@ def _class_labels(group: GroupTable, members: np.ndarray, gen_positions):
 def subgroup_from_gens(group: GroupTable, gen_positions) -> Subgroup:
     members = _close_indices(group, list(gen_positions))
     return Subgroup(group, tuple(members), tuple(sorted(set(int(g) for g in gen_positions) - {0})))
-
-
-def trivial_subgroup(group: GroupTable) -> Subgroup:
-    return Subgroup(group, (0,))
-
-
-def whole_group(group: GroupTable) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
 
 
 def sylow(group: GroupTable, p: int, seed: int = 42) -> Subgroup:

@@ -6,6 +6,10 @@ splits the module or, through Norton's two-sided test, certifies
 irreducibility.  A search that exhausts its budget surfaces as
 InconclusiveError, never as a wrong answer.  spin is the one closure
 routine; the Hom solve reads its standard basis off the words spin records.
+GModule.images is the one map from group elements to module matrices: a
+walk of the group's BFS tree over the asked elements and their ancestors.
+Class traces and the kernel read the class representatives alone (a kernel
+is normal), so neither has a dimension cap.
 """
 
 from __future__ import annotations
@@ -75,35 +79,51 @@ class GModule:
 
     # -- element images --------------------------------------------------------
 
-    def image_of(self, idx: int) -> np.ndarray:
-        """Image of group element idx, by replaying its generator word."""
-        out = identity_matrix(self.dim)
-        for gi in self.group.word(idx):
-            out = mul_mod(out, self.gen_images[gi], self.field.p)
-        return out
+    def images(self, positions) -> np.ndarray:
+        """The (k, dim, dim) stack of images of the elements at the given positions.
+
+        One walk of the group's BFS tree, a level at a time, over the
+        positions and their ancestors only: image(i) = image(parent[i]) @
+        gen_images[parent_gen[i]], the product that replaying i's generator
+        word forms.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        parent, pgen = self.group.parent, self.group.parent_gen
+        need = np.zeros(self.group.order, dtype=bool)
+        need[0] = True
+        walk = positions
+        while walk.size:
+            walk = walk[~need[walk]]
+            need[walk] = True
+            walk = parent[walk]
+        nodes = np.flatnonzero(need)  # ascending, so every parent precedes its children
+        out = np.empty((nodes.size, self.dim, self.dim), dtype=np.int64)
+        out[0] = identity_matrix(self.dim)
+        gens = np.stack(self.gen_images)
+        for lo, hi in bfs_levels(parent):
+            a, b = np.searchsorted(nodes, (lo, hi))
+            at = nodes[a:b]
+            out[a:b] = mul_mod(out[np.searchsorted(nodes, parent[at])], gens[pgen[at]], self.field.p)
+        return out[np.searchsorted(nodes, positions)]
 
     @cached_property
     def element_images(self) -> np.ndarray:
-        """Images of all elements, in canonical element order (small dims)."""
+        """Images of all elements, in canonical element order (dim <= 64)."""
         if self.dim > 64:
             raise ModuleError("full image table is restricted to dim <= 64")
-        n = self.group.order
-        out = np.empty((n, self.dim, self.dim), dtype=np.int64)
-        out[0] = identity_matrix(self.dim)
-        parent = self.group.parent
-        pgen = self.group.parent_gen
-        gens = np.stack(self.gen_images)
-        for lo, hi in bfs_levels(parent):
-            out[lo:hi] = mul_mod(out[parent[lo:hi]], gens[pgen[lo:hi]], self.field.p)
+        out = self.images(np.arange(self.group.order))
         out.flags.writeable = False
         return out
 
     @cached_property
     def kernel_indices(self) -> tuple[int, ...]:
-        """Indices of group elements acting as the identity."""
-        ident = identity_matrix(self.dim)
-        flat = (self.element_images == ident).all(axis=(1, 2))
-        return tuple(int(i) for i in np.flatnonzero(flat))
+        """Indices of group elements acting as the identity.
+
+        A kernel is normal, so it is the union of the classes whose
+        representative acts as the identity.
+        """
+        ident = (self.images(self.group.class_reps) == identity_matrix(self.dim)).all(axis=(1, 2))
+        return tuple(int(i) for i in np.flatnonzero(ident[self.group.conjugacy_classes]))
 
     @property
     def is_faithful(self) -> bool:
@@ -124,8 +144,8 @@ class GModule:
         Isomorphic modules agree here, so a mismatch is a cheap
         non-isomorphism certificate; equality still needs the hom solve.
         """
-        p = self.field.p
-        return tuple(int(np.trace(self.image_of(int(rep)))) % p for rep in self.group.class_reps)
+        traces = np.trace(self.images(self.group.class_reps), axis1=1, axis2=2) % self.field.p
+        return tuple(traces.tolist())
 
     def to_json(self) -> dict:
         return {
@@ -158,16 +178,6 @@ def module_from_json(data: dict, group: GroupTable | None = None) -> GModule:
             raise ModuleError(f"generator image entry outside [0, {F.order})")
         imgs.append(np.asarray(flat, dtype=np.int64).reshape(d, d))
     return GModule(group, F, imgs)
-
-
-def validate_homomorphism(m: GModule, samples: int = 100, seed: int = 42) -> bool:
-    """Spot-check image(xy) == image(x)image(y) on random element pairs, in one batch
-    over the element image table (dim <= 64)."""
-    g = m.group
-    x, y = np.random.default_rng(seed).integers(g.order, size=(2, samples))
-    xy = g.indices_of_matrices(_batch_mul(g.field, g.elems[x], g.elems[y]))
-    imgs = m.element_images
-    return bool((imgs[xy] == mul_mod(imgs[x], imgs[y], m.field.p)).all())
 
 
 # -- constructors --------------------------------------------------------------
@@ -420,16 +430,6 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     )
 
 
-def is_irreducible(m: GModule, seed: int = 42) -> bool:
-    """Norton-certified irreducibility; may raise InconclusiveError."""
-    if m.dim > CHOP_DIM_CAP:
-        raise CapExceeded(f"dimension {m.dim} exceeds the chop cap {CHOP_DIM_CAP}")
-    if m.dim == 1:
-        return True
-    verdict, _ = _meataxe_step(m, np.random.default_rng(seed))
-    return verdict == "irr"
-
-
 def chop(m: GModule, seed: int = 42) -> list[GModule]:
     """Composition factors with multiplicity; each factor is certified."""
     if m.dim > CHOP_DIM_CAP:
@@ -514,8 +514,8 @@ def fixed_subspace(m: GModule, sub: Subgroup) -> np.ndarray:
     are none)."""
     if sub.parent is not m.group:
         raise ModuleError("subgroup belongs to a different group")
-    rows = [(m.image_of(g) - identity_matrix(m.dim)) % m.field.p for g in sub.generating_set()]
-    return nullspace(m.field, np.concatenate([np.zeros((0, m.dim), dtype=np.int64), *rows]))
+    rows = (m.images(sub.generating_set()) - identity_matrix(m.dim)) % m.field.p
+    return nullspace(m.field, rows.reshape(-1, m.dim))
 
 
 # -- catalogs -------------------------------------------------------------------

@@ -22,12 +22,13 @@ from chardeg.classify import (
 )
 from chardeg.fields import field_make
 from chardeg.graphs import analyze, degree_set, graph_from_degrees
-from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group, subgroup_from_gens, whole_group
+from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group, subgroup_from_gens
 from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
 from chardeg.linalg import nullspace
 from chardeg.modules import dual, irreducible_catalog, natural_restricted
 from chardeg.numtheory import is_prime, prime_divisors, prime_power_split, prime_powers
 from chardeg.orbits import orbit_decompose
+from oracles import is_irreducible, whole_group
 
 mp.dps = 80
 
@@ -132,7 +133,7 @@ def test_semidirect_rejects_fixed_vectors():
 
 
 def test_semidirect_six_dim_case(harness):
-    from chardeg.modules import endo_dim, is_irreducible
+    from chardeg.modules import endo_dim
 
     m = harness.entry(13, 3, 6, faithful=True)[0].module
     assert is_irreducible(m)

@@ -295,6 +295,11 @@ def test_verify_out_is_byte_identical_outside_timings(capsys, tmp_path):
         (["orbits", "classify", "--module", "m.json", "--s", "x"], "argument --s: a prime is needed"),
         (["group", "--group", "sl2:3"], "argument --group: sl2:q needs q >= 4"),
         (["group", "--group", "sl2:2"], "argument --group: sl2:q needs q >= 4"),
+        (["module", "catalog", "--group", "sl2:5", "--char", "3", "--cap", "0"], "argument --cap: a positive integer"),
+        (["module", "catalog", "--group", "sl2:5", "--cap", "-3"], "argument --cap: a positive integer"),
+        (["classify", "--ledger", "dim-l-q", "--q-max", "-5"], "argument --q-max: a positive integer"),
+        (["classify", "--ledger", "dim-l-q", "--q-max", "0"], "argument --q-max: a positive integer"),
+        (["classify", "--ledger", "dim-l-q", "--ell-max", "0"], "argument --ell-max: a positive integer"),
     ],
     ids=[
         "graph-q-6",
@@ -308,6 +313,11 @@ def test_verify_out_is_byte_identical_outside_timings(capsys, tmp_path):
         "orbits-s-x",
         "group-sl2-3",
         "group-sl2-2",
+        "module-cap-0",
+        "module-cap-minus-3",
+        "classify-q-max-minus-5",
+        "classify-q-max-0",
+        "classify-ell-max-0",
     ],
 )
 def test_bad_arguments_are_a_one_line_usage_error(capsys, argv, message):

@@ -18,10 +18,10 @@ from chardeg.groups import (
     subgroup_from_gens,
     sylow,
     sylow_char_subgroups,
-    whole_group,
 )
 from chardeg.linalg import identity_matrix
 from chardeg.numtheory import factorize, p_part
+from oracles import whole_group, word
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_words_multiply_out(g7):
     rng = np.random.default_rng(1)
     for i in rng.integers(0, g7.order, size=25):
         acc = np.eye(2, dtype=np.int64)
-        for gi in g7.word(int(i)):
+        for gi in word(g7, int(i)):
             acc = _batch_mul(g7.field, acc, g7.gens[gi])
         assert g7.indices_of_matrices(acc[None]).tolist() == [int(i)]
 

@@ -12,8 +12,6 @@ from chardeg.groups import (
     subgroup_from_gens,
     sylow,
     sylow_char_subgroups,
-    trivial_subgroup,
-    whole_group,
 )
 from chardeg.kernels import rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
@@ -27,7 +25,6 @@ from chardeg.modules import (
     hom_space_dim,
     irreducible_catalog,
     irreducible_count,
-    is_irreducible,
     is_isomorphic,
     module_from_json,
     natural_restricted,
@@ -35,9 +32,16 @@ from chardeg.modules import (
     spin,
     tensor,
     trivial_module,
-    validate_homomorphism,
 )
 from chardeg.verify import CATALOG_SPECS
+from oracles import (
+    is_irreducible,
+    replay_image,
+    replay_kernel,
+    trivial_subgroup,
+    validate_homomorphism,
+    whole_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +301,17 @@ def test_irreducible_count_every_catalog_spec():
         assert irreducible_count(sl2_group(q), r) == count
 
 
+def test_small_catalogs_are_seed_independent():
+    """The chops are randomized, but a catalog must not depend on the seed:
+    every CATALOG_SPECS catalog with q <= 9 writes the same JSON at seeds 1, 7 and 42."""
+    small = [(q, r, cap) for q, r, cap in CATALOG_SPECS if q <= 9]
+    assert len(small) == 7
+    for q, r, cap in small:
+        g = sl2_group(q)
+        first, *rest = [irreducible_catalog(g, r, cap, seed=seed).to_json() for seed in (1, 7, 42)]
+        assert all(other == first for other in rest), (q, r)
+
+
 def test_irreducible_count_broken_power_map_is_a_group_error(g5, monkeypatch):
     import chardeg.modules as modules
     from chardeg.groups import GroupError
@@ -334,7 +349,7 @@ def test_fingerprint_matches_word_replay(harness, q, r):
     for e in harness.catalog(q, r).entries:
         m = e.module
         n = min(FINGERPRINT_COUNT, m.group.order)
-        replayed = sorted(int(np.trace(m.image_of(i))) % r for i in range(n))
+        replayed = sorted(int(np.trace(replay_image(m, i))) % r for i in range(n))
         assert e.fingerprint == m.fingerprint() == tuple(replayed)
 
 
@@ -385,7 +400,7 @@ def test_module_images_consistency(g5):
 
 
 def test_element_images_match_word_replay():
-    """The level-batched image table against replaying each element's generator word."""
+    """The whole-group image walk against replaying each element's generator word."""
     mods = [natural_restricted(q) for q in (5, 9, 16)]
     cat = irreducible_catalog(sl2_group(7), 3, 8)
     mods.append(cat.select(dim=8, faithful=True)[0].module)
@@ -393,7 +408,36 @@ def test_element_images_match_word_replay():
         imgs = m.element_images
         assert imgs.shape == (m.group.order, m.dim, m.dim)
         for i in range(m.group.order):
-            assert np.array_equal(imgs[i], m.image_of(i))
+            assert np.array_equal(imgs[i], replay_image(m, i))
+
+
+def test_images_of_unsorted_repeated_positions_match_word_replay():
+    """images keeps the order and the repeats of the positions it is given,
+    the identity included, and walks only their ancestors."""
+    g = sl2_group(9)
+    p1 = perm_module(g, "projective-points", 3)
+    for m in (natural_restricted(9, g), tensor(p1, p1)):
+        positions = [719, 0, 5, 719, 3, 0, 42, 5]
+        imgs = m.images(positions)
+        assert imgs.shape == (len(positions), m.dim, m.dim)
+        for img, i in zip(imgs, positions):
+            assert np.array_equal(img, replay_image(m, i))
+        assert m.images([]).shape == (0, m.dim, m.dim)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_kernel_of_a_100_dim_module_matches_word_replay(r):
+    """kernel_indices reads the class representatives, so it has no dimension
+    cap: on the 100-dim P1 x P1 of SL2(9) it is {+-I}, as replaying every
+    element's word finds, while the whole image table stays refused."""
+    g = sl2_group(9)
+    p1 = perm_module(g, "projective-points", r)
+    m = tensor(p1, p1)
+    assert m.dim == 100
+    assert m.kernel_indices == replay_kernel(m) == (0, 75)
+    assert not m.is_faithful
+    with pytest.raises(ModuleError):
+        m.element_images
 
 
 # -- oracles for the prime-field arithmetic -------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chardeg import kernels
-from chardeg.groups import sl2_group, whole_group
+from chardeg.groups import sl2_group
 from chardeg.modules import (
     GModule,
     dual,
@@ -20,6 +20,7 @@ from chardeg.orbits import (
     sylow_centralizer_condition,
     unpack_key,
 )
+from oracles import whole_group
 
 
 @pytest.fixture(scope="module")
