@@ -338,8 +338,10 @@ def three_vertices_classify(bound: int) -> ThreeVertexScan:
     """Scan odd prime powers q = t^a <= bound.
 
     pi_empty_list: those where the odd part of pi(q-1) or pi(q+1) is
-    empty.  three_prime_list: those whose simple group order has exactly
-    three prime divisors.
+    empty.  three_prime_list: those whose simple group order q(q^2 - 1)/2
+    has exactly three prime divisors.  For odd q, (q^2 - 1)/2 is even, so
+    those are the prime t of q = t^a, 2 and the odd primes of q - 1 and
+    q + 1.
     """
     if bound > 10**6:
         raise ClassifyError("scan bound capped at 10^6")
@@ -350,8 +352,7 @@ def three_vertices_classify(bound: int) -> ThreeVertexScan:
         plus = prime_divisors(q + 1) - {2}
         if not minus or not plus:
             pi_empty.append(q)
-        order = q * (q * q - 1) // 2
-        if len(prime_divisors(order)) == 3:
+        if len(minus | plus) == 1:
             three.append(q)
     return ThreeVertexScan(tuple(pi_empty), tuple(three))
 
@@ -488,20 +489,22 @@ def inequality_ledger(
     """
     if family not in LEDGER_FAMILIES:
         raise ClassifyError(f"unknown ledger family {family!r}; known: {LEDGER_FAMILIES}")
+    if q_max is None:
+        qm = 100 if family.startswith("f2-") else FAMILY_THRESHOLDS[family] - 1
+    elif q_max < 1:
+        raise ClassifyError(f"q_max must be a positive integer, got {q_max}")
+    else:
+        qm = q_max
     if family == "f2-order3":
-        qm = q_max or 100
         return [(qp, d) for qp, d, _ in _f2_pairs(3, qm, 1)]
     if family == "f2-order5":
-        qm = q_max or 100
         return [(qp, d) for qp, d, _ in _f2_pairs(5, qm, 1)]
     if family == "f2-ell2":
-        qm = q_max or 100
         out = []
         for ell in range(2, ell_max + 1):
             for r in (3, 5):
                 out.extend(_f2_pairs(r, qm, ell))
         return sorted(set(out))
-    qm = q_max or FAMILY_THRESHOLDS[family] - 1
     odd_only = family.endswith("half")
     failures = []
     for qp in prime_powers(4, qm, odd_only=odd_only):

@@ -1,12 +1,15 @@
 """Fully enumerated matrix groups SL2(q) and their subgroup queries.
 
 A GroupTable stores every element as a 2x2 matrix of scalar indices,
-closed by breadth-first search from a fixed generator set.  The BFS
-parent links double as generator words, so any representation defined on
-the generators extends to the elements by walking that tree.  Element
+closed by breadth-first search from a fixed generator set, on matrix
+keys and a table of row images under the generators.  The BFS parent
+links double as generator words, so any representation defined on the
+generators extends to the elements by walking that tree.  Element
 arithmetic is batched: products and inverses of matrix stacks
-(_batch_mul, _batch_inv_det1, _powers), and one sorted-key index that
-maps a stack of matrices back to element positions.
+(_batch_mul, _batch_inv_det1, _powers), and one dense index over all q^4
+matrix keys that maps a stack of matrices back to element positions in
+one gather; it bounds the field order by FIELD_ORDER_CAP.  Element orders
+are computed once per trace value.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from chardeg.kernels import _number_orbits, orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
 ENUMERATION_CAP = 10**6
+#: largest field order a GroupTable accepts: its dense key index has q^4 int32
+#: entries, 23 MB at q = 49
+FIELD_ORDER_CAP = 49
 SYLOW_RESTARTS = 64
 
 
@@ -37,13 +43,19 @@ class BudgetExceeded(RuntimeError):
 
 
 def _batch_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of stacks of 2x2 matrices (broadcasting over the stack axis)."""
+    """Product of stacks of 2x2 matrices (broadcasting over the stack axis).
+
+    Over a prime field the int64 matmul is exact before the reduction mod
+    p; over an extension field each entry is add(mul(a_i0, b_0j),
+    mul(a_i1, b_1j)), read from the flattened q x q tables.
+    """
     if F.is_prime_field:
-        return np.einsum("...ik,...kj->...ij", A, B) % F.p
-    add_t, mul_t = F.tables[0], F.tables[1]
-    t0 = mul_t[A[..., :, 0:1], B[..., 0:1, :]]
-    t1 = mul_t[A[..., :, 1:2], B[..., 1:2, :]]
-    return add_t[t0, t1]
+        return np.matmul(A, B) % F.p
+    q = F.order
+    add_t, mul_t = F.tables[0].ravel(), F.tables[1].ravel()
+    t0 = mul_t[A[..., :, 0:1] * q + B[..., 0:1, :]]
+    t1 = mul_t[A[..., :, 1:2] * q + B[..., 1:2, :]]
+    return add_t[t0 * q + t1]
 
 
 def _batch_inv_det1(F: Field, A: np.ndarray) -> np.ndarray:
@@ -62,11 +74,20 @@ def _batch_inv_det1(F: Field, A: np.ndarray) -> np.ndarray:
 
 
 class GroupTable:
-    """An enumerated 2x2 matrix group over a small finite field."""
+    """An enumerated group of 2x2 matrices of determinant 1 over a field of
+    order at most FIELD_ORDER_CAP."""
 
     def __init__(self, field: Field, gens: np.ndarray):
+        if field.order > FIELD_ORDER_CAP:
+            raise GroupError(
+                f"groups are enumerated over fields of order <= {FIELD_ORDER_CAP}, got {field.order}"
+            )
         self.field = field
         self.gens = np.ascontiguousarray(gens, dtype=np.int64)
+        # inverses are adjugates and element orders are read off traces
+        for a, b, c, d in self.gens.reshape(-1, 4).tolist():
+            if field.sub(field.mul(a, d), field.mul(b, c)) != 1:
+                raise GroupError(f"group generator {[a, b, c, d]} does not have determinant 1")
         self._close()
 
     # -- closure --------------------------------------------------------------
@@ -77,41 +98,56 @@ class GroupTable:
         return ((mats[..., 0, 0] * q + mats[..., 0, 1]) * q + mats[..., 1, 0]) * q + mats[..., 1, 1]
 
     def _close(self) -> None:
-        """Breadth-first closure, one batched product per BFS level.
+        """Breadth-first closure, one batched step per BFS level, on keys.
 
-        The level [lo, hi) is multiplied by every generator at once; the
-        products are then taken in (element, generator) order and each key
-        not seen before is appended.  That is exactly the order in which
-        the element-at-a-time BFS appends them, so elems, parent and
-        parent_gen are the same arrays.
+        A matrix key is its two row keys (base q) side by side, and row i of
+        x g is row i of x times g, so one table of the row images under each
+        generator (q^2 rows) gives the key of every product of the level
+        [lo, hi) by every generator at once.  The products are taken in
+        (element, generator) order and the first product of each key not
+        seen before is appended.  That is exactly the order in which the
+        element-at-a-time BFS appends them, so elems (read off the keys'
+        digits), parent and parent_gen are the same arrays.
+
+        The dense index maps every key in [0, q^4) to its element position,
+        -1 off the group.  While a level is scanned, each fresh key holds
+        the tag j - 2^31 of its first product j: np.minimum.at keeps the
+        least j, and every tag lies below -1.
         """
         F = self.field
+        q = F.order
         n_gens = len(self.gens)
-        elems = [np.eye(2, dtype=np.int64)[None]]
+        rows = np.stack(np.divmod(np.arange(q * q), q), axis=-1)[:, None, None, :]
+        images = _batch_mul(F, rows, self.gens[None])[:, :, 0]
+        row_image = images[..., 0] * q + images[..., 1]  # (q^2 rows, generators)
+        index = np.full(q**4, -1, dtype=np.int32)
+        frontier = self._keys(np.eye(2, dtype=np.int64))[None]
+        index[frontier] = 0
+        keys_found = [frontier]
         parents = [np.asarray([-1], dtype=np.int64)]
         parent_gens = [np.asarray([-1], dtype=np.int64)]
-        seen = self._keys(elems[0])  # sorted keys of every element so far
         lo, total = 0, 1
-        frontier = elems[0]
-        while frontier.shape[0]:
-            prods = _batch_mul(F, frontier[:, None], self.gens[None]).reshape(-1, 2, 2)
-            keys = self._keys(prods)
-            uniq, first = np.unique(keys, return_index=True)
-            pos = np.searchsorted(seen, uniq).clip(max=seen.size - 1)
-            new = np.sort(first[seen[pos] != uniq])
+        while frontier.size:
+            top, bottom = np.divmod(frontier, q * q)
+            keys = (row_image[top] * (q * q) + row_image[bottom]).reshape(-1)
+            fresh = np.flatnonzero(index[keys] < 0)
+            tags = (fresh - 2**31).astype(np.int32)
+            np.minimum.at(index, keys[fresh], tags)
+            new = fresh[index[keys[fresh]] == tags]
             if total + new.size > ENUMERATION_CAP:
                 raise CapExceeded(f"closure exceeded the cap {ENUMERATION_CAP}")
-            frontier = prods[new]
-            elems.append(frontier)
+            index[keys[new]] = np.arange(total, total + new.size, dtype=np.int32)
+            frontier = keys[new]
+            keys_found.append(frontier)
             parents.append(lo + new // n_gens)
             parent_gens.append(new % n_gens)
-            seen = np.sort(np.concatenate([seen, keys[new]]))
             lo = total
             total += new.size
-        self.elems = np.ascontiguousarray(np.concatenate(elems), dtype=np.int64)
+        keys = np.concatenate(keys_found)
+        digits = [keys // q**3, keys // q**2 % q, keys // q % q, keys % q]
+        self.elems = np.stack(digits, axis=-1).reshape(-1, 2, 2)
         self.elems.flags.writeable = False
-        self._sorted_keys = seen
-        self._key_positions = np.argsort(self._keys(self.elems))
+        self._index = index
         self.parent = np.concatenate(parents)
         self.parent_gen = np.concatenate(parent_gens)
 
@@ -122,33 +158,41 @@ class GroupTable:
         return int(self.elems.shape[0])
 
     def indices_of_matrices(self, mats: np.ndarray) -> np.ndarray:
-        """Element position of every matrix in a stack, by one search of the sorted keys."""
-        keys = self._keys(mats)
-        at = np.searchsorted(self._sorted_keys, keys).clip(max=self.order - 1)
-        if (self._sorted_keys[at] != keys).any():
+        """Element position of every matrix in a stack, by one gather from the dense index."""
+        at = self._index[self._keys(mats)]
+        if (at < 0).any():
             raise GroupError("a matrix is not an element of the group")
-        return self._key_positions[at]
+        return at.astype(np.int64)
 
     @cached_property
     def element_orders(self) -> np.ndarray:
+        """Order of every element, from one powered element per trace.
+
+        A non-scalar matrix of determinant 1 is similar to the companion
+        matrix of x^2 - tr x + 1 (Huppert, Endliche Gruppen I, II.8), so its
+        order is a function of its trace.  The scalars of determinant 1 are
+        +-I.  One element of each trace among the non-scalars, and each
+        scalar, is powered until it reaches I.
+        """
         F = self.field
-        n = self.order
-        orders = np.zeros(n, dtype=np.int64)
-        orders[0] = 1
+        e = self.elems
+        a, d = e[:, 0, 0], e[:, 1, 1]
+        trace = (a + d) % F.p if F.is_prime_field else F.tables[0][a, d]
+        scalar = (e[:, 0, 1] == 0) & (e[:, 1, 0] == 0) & (a == d)
+        label = np.where(scalar, F.order + (a != 1), trace)
+        _, reps, inverse = np.unique(label, return_index=True, return_inverse=True)
         ident = np.eye(2, dtype=np.int64)
-        power = self.elems.copy()
-        alive = np.flatnonzero(orders == 0)
-        step = 1
-        while alive.size:
-            done = alive[(power[alive] == ident).all(axis=(1, 2))]
-            orders[done] = step
-            alive = np.flatnonzero(orders == 0)
-            if alive.size:
-                power[alive] = _batch_mul(F, power[alive], self.elems[alive])
-                step += 1
-            if step > 4 * self.order:
-                raise GroupError("element order computation did not terminate")
-        return orders
+        rep_orders = np.zeros(reps.size, dtype=np.int64)
+        alive, base = np.arange(reps.size), e[reps]
+        power = base
+        for step in range(1, self.order + 1):
+            done = (power == ident).all(axis=(1, 2))
+            rep_orders[alive[done]] = step
+            alive, base, power = alive[~done], base[~done], power[~done]
+            if not alive.size:
+                return rep_orders[inverse]
+            power = _batch_mul(F, power, base)
+        raise GroupError("an element order exceeds the group order")
 
     @cached_property
     def conjugacy_classes(self) -> np.ndarray:
@@ -187,11 +231,8 @@ def group_from_json(data: dict) -> GroupTable:
         or any(not isinstance(g, list) or len(g) != 4 or any(type(x) is not int for x in g) for g in flats)
     ):
         raise GroupError("group generators must be a non-empty list of 4-entry integer lists")
-    for a, b, c, d in flats:
-        if any(not 0 <= x < F.order for x in (a, b, c, d)):
-            raise GroupError(f"group generator entry outside [0, {F.order})")
-        if F.sub(F.mul(a, d), F.mul(b, c)) != 1:
-            raise GroupError(f"group generator {[a, b, c, d]} does not have determinant 1")
+    if any(not 0 <= x < F.order for g in flats for x in g):
+        raise GroupError(f"group generator entry outside [0, {F.order})")
     return GroupTable(F, np.asarray(flats, dtype=np.int64).reshape(-1, 2, 2))
 
 
@@ -201,8 +242,8 @@ def sl2_group(q: int) -> GroupTable:
     The verified order q(q^2 - 1) is a hard postcondition; a mismatch
     means the generator set does not reach the whole group for this q.
     """
-    if q < 4 or q > 49:
-        raise CapExceeded(f"sl2_group supports 4 <= q <= 49, got {q}")
+    if q < 4 or q > FIELD_ORDER_CAP:
+        raise CapExceeded(f"sl2_group supports 4 <= q <= {FIELD_ORDER_CAP}, got {q}")
     p, k = prime_power_split(q)
     F = field_make(p, k)
     w = F.generator
@@ -363,30 +404,36 @@ def sylow_char_subgroups(group: GroupTable) -> list[Subgroup]:
     return [Subgroup(group, (0, *t_elems[point_of == j].tolist())) for j in range(len(points))]
 
 
-def count_normalized_sylow(group: GroupTable, r_sub: Subgroup, t: int) -> int:
-    """Number of Sylow t-subgroups whose normalizer contains r_sub.
+def count_normalized_sylow(group: GroupTable, r_subs: list[Subgroup], t: int) -> np.ndarray:
+    """For each subgroup of r_subs, the number of Sylow t-subgroups whose
+    normalizer contains it.
 
-    Conjugation permutes the Sylow subgroups, so T^g = T exactly when
-    one nontrivial member of T lands back inside T.
+    Conjugation permutes the Sylow subgroups, so T^g = T exactly when one
+    nontrivial member of T lands back inside T.  One batched conjugation
+    takes every Sylow probe through every generator of every subgroup.
     """
     if t != group.field.p:
         raise GroupError("t must be the defining characteristic")
-    if r_sub.order == 1:
-        raise GroupError("r_sub must be nontrivial")
-    fac = factorize(r_sub.order)
-    if len(fac) != 1:
-        raise GroupError("r_sub must be an r-group")
-    (r_prime,) = fac
-    if r_prime % 2 == 0 or (group.field.order - 1) % r_prime != 0:
-        raise GroupError("the prime of r_sub must be odd and divide q - 1")
+    for order in {s.order for s in r_subs}:
+        if order == 1:
+            raise GroupError("r_sub must be nontrivial")
+        fac = factorize(order)
+        if len(fac) != 1:
+            raise GroupError("r_sub must be an r-group")
+        (r_prime,) = fac
+        if r_prime % 2 == 0 or (group.field.order - 1) % r_prime != 0:
+            raise GroupError("the prime of r_sub must be odd and divide q - 1")
+    if not r_subs:
+        return np.zeros(0, dtype=np.int64)
+    gen_sets = [s.generating_set() for s in r_subs]
+    starts = np.cumsum([0] + [len(gs) for gs in gen_sets[:-1]])
     sylows, owner = group.sylow_map
     F = group.field
-    probes = group.elems[[T.members[1] for T in sylows]]
-    fixed = np.ones(len(sylows), dtype=bool)
-    for g in group.elems[list(r_sub.generating_set())]:
-        conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, g), probes), g)
-        fixed &= owner[group.indices_of_matrices(conj)] == np.arange(len(sylows))
-    return int(fixed.sum())
+    probes = group.elems[[T.members[1] for T in sylows]][None]
+    g = group.elems[[x for gs in gen_sets for x in gs]][:, None]
+    conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, g), probes), g)
+    fixed = owner[group.indices_of_matrices(conj)] == np.arange(len(sylows))
+    return np.logical_and.reduceat(fixed, starts, axis=0).sum(axis=1)
 
 
 def contains_normal_full_sylow(group: GroupTable, sub: Subgroup, r: int) -> bool:
@@ -394,17 +441,21 @@ def contains_normal_full_sylow(group: GroupTable, sub: Subgroup, r: int) -> bool
 
     Equivalent test: the r-elements of sub number exactly the r-part of
     the group order and form a subgroup (then that set is the unique,
-    hence normal, Sylow r-subgroup of sub, of full order).
+    hence normal, Sylow r-subgroup of sub, of full order).  Their products
+    are looked up in the dense index and tested against a mask of them.
     """
     full = p_part(group.order, r)
     if sub.order % full != 0:
         return False
     members = np.asarray(sub.members)
-    rmats = group.elems[members[full % group.element_orders[members] == 0]]
-    if rmats.shape[0] != full:
+    relems = members[full % group.element_orders[members] == 0]
+    if relems.size != full:
         return False
+    rmats = group.elems[relems]
     prods = _batch_mul(group.field, rmats[:, None], rmats[None])
-    return bool(np.isin(group._keys(prods), group._keys(rmats)).all())
+    inside = np.zeros(group.order, dtype=bool)
+    inside[relems] = True
+    return bool(inside[group.indices_of_matrices(prods)].all())
 
 
 def center(group: GroupTable) -> Subgroup:

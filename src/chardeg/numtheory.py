@@ -119,12 +119,19 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 
 def prime_powers(lo: int, hi: int, odd_only: bool = False) -> list[int]:
-    """All prime powers q with lo <= q <= hi, ascending."""
+    """All prime powers q with lo <= q <= hi, ascending, from a sieve of the primes up to hi."""
+    sieve = bytearray([1]) * max(hi + 1, 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
     out = []
-    for q in range(max(lo, 2), hi + 1):
-        if odd_only and q % 2 == 0:
+    for p in range(3 if odd_only else 2, hi + 1):
+        if not sieve[p]:
             continue
-        fac = factorize(q)
-        if len(fac) == 1:
-            out.append(q)
-    return out
+        pk = p
+        while pk <= hi:
+            if pk >= lo:
+                out.append(pk)
+            pk *= p
+    return sorted(out)

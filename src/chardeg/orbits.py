@@ -87,6 +87,7 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
     reps, sizes, members = orbit_stabilizers(gens, r, m.dim, group.parent, group.parent_gen)
     orbits = []
     nonzero_counts = {name: 0 for name in sylow_primes}
+    normal_sylow: dict = {}  # (stabilizer members, prime) -> flag: one test per distinct pair
     for rep_key, size, mem in zip(reps.tolist(), sizes.tolist(), members):
         vec = unpack_key(rep_key, r, m.dim)
         stab = Subgroup(group, tuple(mem.tolist()))
@@ -94,7 +95,10 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
             raise GroupError("orbit-stabilizer identity failed")
         flags = {}
         for name, prime in sylow_primes.items():
-            flags[name] = contains_normal_full_sylow(group, stab, prime)
+            key = (stab.members, prime)
+            if key not in normal_sylow:
+                normal_sylow[key] = contains_normal_full_sylow(group, stab, prime)
+            flags[name] = normal_sylow[key]
             if flags[name] and rep_key != 0:
                 nonzero_counts[name] += size
         orbits.append(Orbit(rep_key, vec, size, stab.order, flags, stab))
@@ -147,10 +151,9 @@ def covering_classify(m: GModule, r: int | None = None, s: int | None = None) ->
 def sylow_centralizer_condition(report: OrbitReport, q: int) -> bool:
     """True iff q divides the index of the action kernel of the report's
     module and every nonzero vector's stabilizer contains a normal full
-    Sylow q-subgroup."""
+    Sylow q-subgroup; each distinct stabilizer is tested once."""
     m = report.module
     if (m.group.order // len(m.kernel_indices)) % q != 0:
         return False
-    return all(
-        contains_normal_full_sylow(m.group, o.stab, q) for o in report.orbits if o.rep_key != 0
-    )
+    stabs = dict.fromkeys(o.stab for o in report.orbits if o.rep_key != 0)
+    return all(contains_normal_full_sylow(m.group, stab, q) for stab in stabs)

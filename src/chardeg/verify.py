@@ -35,9 +35,10 @@ from chardeg.groups import (
     BudgetExceeded,
     CapExceeded,
     GroupError,
+    Subgroup,
+    _powers,
     count_normalized_sylow,
     sl2_group,
-    subgroup_from_gens,
     sylow_char_subgroups,
 )
 from chardeg.kernels import rref_prime
@@ -166,18 +167,18 @@ def check_two_sylow_normalizers(h: Harness):
     observed: dict = {}
     for q, r in TWO_SYLOW_PAIRS:
         g = h.group(q)
-        t = g.field.p
+        # the cyclic subgroups of order full_r: row i of the power table lists
+        # the powers of the i-th element of that order; np.unique keeps each
+        # sorted row once, generated by its least such element
         full_r = p_part(g.order, r)
-        orders = g.element_orders
-        subs: dict = {}
-        covered: set = set()
-        for i in range(g.order):
-            if int(orders[i]) == full_r and i not in covered:
-                s = subgroup_from_gens(g, [i])
-                subs[s.members] = s
-                covered.update(s.members)
+        gens = np.flatnonzero(g.element_orders == full_r)
+        table = np.stack([_powers(g, gens, k) for k in range(full_r)], axis=1)
+        rows, first = np.unique(np.sort(table, axis=1), axis=0, return_index=True)
+        subs = [
+            Subgroup(g, tuple(row), (int(gens[i]),)) for row, i in zip(rows.tolist(), first.tolist())
+        ]
         sylows = sylow_char_subgroups(g)
-        counts = sorted({count_normalized_sylow(g, s, t) for s in subs.values()})
+        counts = sorted(set(count_normalized_sylow(g, subs, g.field.p).tolist()))
         key = f"q={q},r={r}"
         expected[key] = {
             "normalized_sylows": [2],

@@ -116,6 +116,15 @@ def test_ledger_unknown_family():
         inequality_ledger("nope")
 
 
+@pytest.mark.parametrize("q_max", [0, -5])
+@pytest.mark.parametrize("family", ["dim-l-q", "f2-order3", "f2-ell2"])
+def test_ledger_refuses_a_bound_below_one(family, q_max):
+    """A bound of 0 is not the default bound, and a negative one is not an empty, passing ledger."""
+    with pytest.raises(ClassifyError, match="q_max must be a positive integer"):
+        inequality_ledger(family, q_max=q_max)
+    assert inequality_ledger(family, q_max=1) == []
+
+
 # -- split extension degrees ------------------------------------------------------
 
 
@@ -396,6 +405,18 @@ def test_three_vertices():
         t, a = prime_power_split(q)
         assert a == 1 or q == 9
     assert 7 in scan.pi_empty_list  # pi(8) - {2} is empty
+
+
+def test_three_vertices_match_direct_factorization():
+    """Both lists against factorizing q - 1, q + 1 and q(q^2 - 1)/2 directly."""
+    from chardeg.numtheory import factorize
+
+    scan = three_vertices_classify(2000)
+    qs = prime_powers(5, 2000, odd_only=True)
+    assert scan.pi_empty_list == tuple(
+        q for q in qs if set(factorize(q - 1)) <= {2} or set(factorize(q + 1)) <= {2}
+    )
+    assert scan.three_prime_list == tuple(q for q in qs if len(factorize(q * (q * q - 1) // 2)) == 3)
 
 
 def test_primitive_prime_divisors():

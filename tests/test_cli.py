@@ -205,6 +205,23 @@ def test_malformed_group_generators_are_a_group_error(tmp_path, capsys, edit, me
     assert captured.err.count("\n") == 1
 
 
+def test_a_group_over_a_field_above_the_cap_is_a_group_error(tmp_path, capsys):
+    """A module file whose group lies over F_53, past the enumeration bound
+    of 49, is refused as a GroupError (exit 2) instead of being enumerated."""
+    trivial = {
+        "group": {"field": {"p": 53, "k": 1, "modulus": [0, 1]}, "generators": [[1, 1, 0, 1]]},
+        "field": {"p": 2, "k": 1, "modulus": [0, 1]},
+        "dim": 1,
+        "gen_images": [[1]],
+    }
+    path = tmp_path / "f53.json"
+    path.write_text(json.dumps(trivial))
+    assert main(["orbits", "decompose", "--module", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: groups are enumerated over fields of order <= 49, got 53\n"
+
+
 def test_module_select_index_out_of_range_is_a_module_error(capsys):
     """The sl2:4/F3 catalog below dim 8 has one 4-dim entry: --index 0 picks
     it, while 1 and -1 are refused (exit 2) instead of raising or picking

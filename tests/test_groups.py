@@ -3,6 +3,7 @@ import pytest
 
 from chardeg.fields import field_make
 from chardeg.groups import (
+    FIELD_ORDER_CAP,
     CapExceeded,
     GroupError,
     GroupTable,
@@ -56,6 +57,19 @@ def test_sl2_cap():
         sl2_group(53)
 
 
+def test_group_tables_refuse_fields_above_the_cap():
+    """The dense key index has q^4 entries, so no group is enumerated over a
+    field of order above FIELD_ORDER_CAP, the bound sl2_group shares."""
+    assert FIELD_ORDER_CAP == 49
+    with pytest.raises(CapExceeded, match="q <= 49"):
+        sl2_group(FIELD_ORDER_CAP + 4)
+    unipotent = {"field": field_make(53).to_json(), "generators": [[1, 1, 0, 1]]}
+    with pytest.raises(GroupError, match="fields of order <= 49, got 53"):
+        group_from_json(unipotent)
+    with pytest.raises(GroupError, match="fields of order <= 49, got 64"):
+        GroupTable(field_make(2, 6), np.eye(2, dtype=np.int64)[None])
+
+
 def test_words_multiply_out(g7):
     rng = np.random.default_rng(1)
     for i in rng.integers(0, g7.order, size=25):
@@ -91,6 +105,43 @@ def test_indices_of_matrices_refuses_a_non_element():
         g.indices_of_matrices(np.concatenate([g.elems[:3], outside]))
     with pytest.raises(GroupError, match="not an element"):
         g.indices_of_matrices(np.full((1, 2, 2), 4, dtype=np.int64))  # above every key
+
+
+#: a subgroup of SL2(9) of order 24, read from JSON (field entries are F9 indices)
+JSON_SUBGROUP_9 = {"field": {"p": 3, "k": 2, "modulus": [1, 0, 1]}, "generators": [[1, 1, 0, 1], [0, 1, 2, 0]]}
+
+
+def _orders_by_powering(g):
+    """Order of every element: each one is powered until it reaches I."""
+    orders = np.zeros(g.order, dtype=np.int64)
+    power = g.elems.copy()
+    step = 1
+    while (orders == 0).any():
+        orders[(orders == 0) & (power == np.eye(2, dtype=np.int64)).all(axis=(1, 2))] = step
+        power = _batch_mul(g.field, power, g.elems)
+        step += 1
+    return orders
+
+
+@pytest.mark.parametrize("q", (4, 8, 9, 16, 25, 27))
+def test_element_orders_match_powering_oracle(q):
+    g = sl2_group(q)
+    assert g.element_orders.dtype == np.int64
+    assert np.array_equal(g.element_orders, _orders_by_powering(g))
+
+
+def test_element_orders_of_subgroups_match_powering_oracle():
+    borel = GroupTable(field_make(5), np.asarray([[[1, 1], [0, 1]], [[2, 0], [0, 3]]], dtype=np.int64))
+    for g in (borel, group_from_json(JSON_SUBGROUP_9)):
+        assert np.array_equal(g.element_orders, _orders_by_powering(g))
+    assert sorted(set(borel.element_orders.tolist())) == [1, 2, 4, 5, 10]
+
+
+def test_generators_of_determinant_other_than_1_are_refused():
+    """Element orders are read off traces, which needs determinant 1: the
+    scalar 2I over F5 (determinant 4) would give 4I the order of 2I."""
+    with pytest.raises(GroupError, match=r"\[2, 0, 0, 2\] does not have determinant 1"):
+        GroupTable(field_make(5), np.asarray([[[1, 1], [0, 1]], [[2, 0], [0, 2]]], dtype=np.int64))
 
 
 def test_element_orders_divide_group_order(g7):
@@ -132,7 +183,7 @@ def test_count_normalized_sylow_examples(g7):
     r_elt = int(np.flatnonzero(orders == 3)[0])
     r_sub = subgroup_from_gens(g7, [r_elt])
     assert r_sub.order == 3
-    assert count_normalized_sylow(g7, r_sub, 7) == 2
+    assert count_normalized_sylow(g7, [r_sub], 7).tolist() == [2]
 
 
 def test_contains_normal_full_sylow_negative(g7):
@@ -246,6 +297,10 @@ def _assert_closure_matches_oracle(g):
     assert np.array_equal(g.parent, parent)
     assert np.array_equal(g.parent_gen, parent_gen)
     assert np.array_equal(g.indices_of_matrices(elems), np.arange(len(elems)))
+    # the dense index holds -1 at every other key of the q^4, no leftover tag
+    off = np.ones(g.field.order**4, dtype=bool)
+    off[g._keys(elems)] = False
+    assert (g._index[off] == -1).all()
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -260,6 +315,7 @@ def test_custom_generator_closure_matches_element_bfs():
     g = GroupTable(F, borel)
     assert g.order == 20
     _assert_closure_matches_oracle(g)
+    _assert_closure_matches_oracle(group_from_json(JSON_SUBGROUP_9))
 
 
 def test_generator_major_scan_fails_the_oracle():
@@ -298,6 +354,8 @@ def test_center_and_classes_match_mult_oracles(q):
 
 @pytest.mark.parametrize("q,r", [(7, 3), (11, 5), (13, 3), (16, 3), (16, 5), (19, 3)])
 def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
+    """One batch over cyclic subgroups, a subgroup given two generators and
+    a Sylow r-subgroup, against conjugating one probe at a time."""
     g = sl2_group(q)
     t = g.field.p
     sylows = sylow_char_subgroups(g)
@@ -305,14 +363,22 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
     orders = g.element_orders
     # nontrivial elements whose order is a power of r
     r_elems = [int(x) for x in np.flatnonzero((orders > 1) & (r**6 % orders == 0))]
-    subs = [subgroup_from_gens(g, [x]) for x in r_elems[:24]] + [sylow(g, r)]
-    for sub in subs:
-        gens = sub.generating_set()
-        expected = sum(
-            all(owner[_conj(g, T.members[1], k)] == i for k in gens)
+    x = r_elems[0]
+    subs = [subgroup_from_gens(g, [y]) for y in r_elems[:24]]
+    subs += [subgroup_from_gens(g, [x, int(_powers(g, [x], 2)[0])]), sylow(g, r)]
+    assert len(subs[-2].generating_set()) == 2
+    expected = [
+        sum(
+            all(owner[_conj(g, T.members[1], k)] == i for k in sub.generating_set())
             for i, T in enumerate(sylows)
         )
-        assert count_normalized_sylow(g, sub, t) == expected
+        for sub in subs
+    ]
+    assert count_normalized_sylow(g, subs, t).tolist() == expected
+    assert count_normalized_sylow(g, subs[-1:], t).tolist() == expected[-1:]
+    assert count_normalized_sylow(g, [], t).tolist() == []
+    with pytest.raises(GroupError, match="r-group"):
+        count_normalized_sylow(g, [subs[0], subgroup_from_gens(g, [x, *sylows[0].members[1:2]])], t)
 
 
 def _sylow_buckets_per_element(g):

@@ -64,3 +64,11 @@ def test_prime_power_split():
 def test_prime_powers_range():
     assert prime_powers(4, 16) == [4, 5, 7, 8, 9, 11, 13, 16]
     assert prime_powers(4, 16, odd_only=True) == [5, 7, 9, 11, 13]
+
+
+@pytest.mark.parametrize("lo,hi", [(-3, 1), (0, 2), (2, 3), (4, 4), (5, 5), (6, 6), (17, 3000), (2, 3000)])
+def test_prime_powers_match_factorization(lo, hi):
+    """The sieve against factorizing every integer of the range."""
+    for odd_only in (False, True):
+        expected = [q for q in range(max(lo, 2), hi + 1) if len(factorize(q)) == 1 and not (odd_only and q % 2 == 0)]
+        assert prime_powers(lo, hi, odd_only=odd_only) == expected

@@ -131,6 +131,35 @@ def test_sylow_centralizer_condition_examples(g4):
     assert not sylow_centralizer_condition(three, 7)
 
 
+def test_each_stabilizer_and_prime_is_tested_once(g5, monkeypatch):
+    """covering_classify and sylow_centralizer_condition test the normal
+    Sylow condition once per distinct (stabilizer members, prime) pair."""
+    import chardeg.orbits as orbits
+
+    real = orbits.contains_normal_full_sylow
+    calls = []
+
+    def counted(group, sub, r):
+        calls.append((sub.members, r))
+        return real(group, sub, r)
+
+    monkeypatch.setattr(orbits, "contains_normal_full_sylow", counted)
+    rep = covering_classify(perm_module(g5, "projective-points", 3), r=None, s=3)
+    pairs = {(o.stab.members, p) for o in rep.orbits for p in (3, 5)}
+    assert len(rep.orbits) > len({o.stab.members for o in rep.orbits})
+    assert sorted(calls) == sorted(pairs)
+    for o in rep.orbits:
+        assert o.flags == {"plus": real(g5, o.stab, 3), "char": real(g5, o.stab, 5)}
+    calls.clear()
+    assert not sylow_centralizer_condition(rep, 2)
+    nonzero = {o.stab.members for o in rep.orbits if o.rep_key != 0}
+    assert len(calls) == len(set(calls)) and {m for m, _ in calls} <= nonzero
+    calls.clear()
+    nat = orbit_decompose(natural_restricted(5, g5))
+    assert sylow_centralizer_condition(nat, 5)
+    assert calls == [(nat.orbits[1].stab.members, 5)]
+
+
 def test_sylow_centralizer_condition_natural_q8():
     # the 2a-dimensional natural module in characteristic 2, a = 3
     m = natural_restricted(8)
