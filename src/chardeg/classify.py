@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from chardeg.modules import GModule, dual
 from chardeg.numtheory import (
     factorize,
     is_prime,
-    multiplicative_order,
     prime_divisors,
     prime_power_split,
     prime_powers,
@@ -368,10 +367,12 @@ def primitive_prime_divisor(a: int, n: int) -> int | None:
     value = a**n - 1
     if value >= 1 << 63:
         raise OverflowError(f"{a}^{n} - 1 exceeds 63 bits")
-    for p in sorted(factorize(value)):
-        if multiplicative_order(a % p, p) == n:
-            return p
-    return None
+    # a prime of a^n - 1 is primitive unless it divides a^d - 1 for a proper divisor d
+    for d in range(1, n):
+        if n % d == 0:
+            while (g := gcd(value, a**d - 1)) > 1:
+                value //= g
+    return min(factorize(value)) if value > 1 else None
 
 
 # -- inequality ledgers --------------------------------------------------------------

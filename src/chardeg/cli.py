@@ -25,7 +25,7 @@ from chardeg.classify import (
 )
 from chardeg.fields import FieldError
 from chardeg.graphs import DegreeSetError, analyze, degree_set, graph_from_degrees
-from chardeg.groups import BudgetExceeded, CapExceeded, GroupError, sl2_group
+from chardeg.groups import CapExceeded, GroupError, sl2_group
 from chardeg.modules import (
     InconclusiveError,
     ModuleError,
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
-    except (InconclusiveError, BudgetExceeded, CapExceeded) as exc:
+    except (InconclusiveError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
     except (GroupError, ModuleError, FieldError, DegreeSetError, ClassifyError) as exc:

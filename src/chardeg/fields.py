@@ -25,12 +25,14 @@ class FieldError(ValueError):
     """Invalid field parameters or mismatched field usage."""
 
 
-def _poly_from_index(idx: int, p: int, k: int) -> list[int]:
-    coeffs = []
-    for _ in range(k):
-        coeffs.append(idx % p)
-        idx //= p
-    return coeffs
+def digits(n, base: int, width: int) -> np.ndarray:
+    """The base-`base` digits of every integer in n, least significant first,
+    on a new last axis of length width (int64)."""
+    n = np.asarray(n, dtype=np.int64)
+    out = np.empty(n.shape + (width,), dtype=np.int64)
+    for i in range(width):
+        n, out[..., i] = np.divmod(n, base)
+    return out
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
@@ -43,8 +45,8 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     if modulus[0] == 0:
         return False
     for d in range(1, k // 2 + 1):
-        for idx in range(p**d):
-            div = _poly_from_index(idx, p, d) + [1]
+        for low in digits(np.arange(p**d), p, d).tolist():
+            div = low + [1]
             # long division remainder of modulus by div
             rem = list(modulus)
             for i in range(len(rem) - 1, d - 1, -1):
@@ -136,12 +138,12 @@ class Field:
         if q > TABLE_LIMIT:
             raise FieldError(f"field of order {q} exceeds the table limit {TABLE_LIMIT}")
         weights = p ** np.arange(k)
-        digits = np.arange(q) // weights[:, None] % p  # k x q, constant term first
-        add = np.tensordot(weights, (digits[:, :, None] + digits[:, None]) % p, 1)
-        neg = weights @ ((-digits) % p)
+        coeffs = digits(np.arange(q), p, k).T  # k x q, constant term first
+        add = np.tensordot(weights, (coeffs[:, :, None] + coeffs[:, None]) % p, 1)
+        neg = weights @ ((-coeffs) % p)
         prod = np.zeros((2 * k - 1, q, q), dtype=np.int64)
         for i in range(k):
-            prod[i : i + k] += digits[i, :, None] * digits[:, None]
+            prod[i : i + k] += coeffs[i, :, None] * coeffs[:, None]
         prod %= p
         low = np.asarray(self.modulus[:k])[:, None, None]
         for i in range(2 * k - 2, k - 1, -1):
@@ -179,8 +181,8 @@ def _field_make(p: int, k: int) -> Field:
         raise FieldError(f"field order {p}^{k} exceeds the cap {cap}")
     if k == 1:
         return Field(p, 1, (0, 1))
-    for idx in range(p**k):
-        modulus = tuple(_poly_from_index(idx, p, k)) + (1,)
+    for low in digits(np.arange(p**k), p, k).tolist():
+        modulus = (*low, 1)
         if _is_irreducible(modulus, p):
             return Field(p, k, modulus)
     raise FieldError("no irreducible modulus found")  # unreachable

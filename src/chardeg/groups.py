@@ -19,15 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from chardeg.fields import Field, field_make
+from chardeg.fields import Field, digits, field_make
 from chardeg.kernels import _number_orbits, orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
-ENUMERATION_CAP = 10**6
 #: largest field order a GroupTable accepts: its dense key index has q^4 int32
 #: entries, 23 MB at q = 49
 FIELD_ORDER_CAP = 49
-SYLOW_RESTARTS = 64
 
 
 class GroupError(RuntimeError):
@@ -39,7 +37,8 @@ class CapExceeded(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A randomized search ran out of restarts."""
+    """A randomized search ran out of restarts.  Nothing in the package raises
+    it; perfbench/worker.py still lists it among the errors of an operation."""
 
 
 def _batch_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -134,8 +133,6 @@ class GroupTable:
             tags = (fresh - 2**31).astype(np.int32)
             np.minimum.at(index, keys[fresh], tags)
             new = fresh[index[keys[fresh]] == tags]
-            if total + new.size > ENUMERATION_CAP:
-                raise CapExceeded(f"closure exceeded the cap {ENUMERATION_CAP}")
             index[keys[new]] = np.arange(total, total + new.size, dtype=np.int32)
             frontier = keys[new]
             keys_found.append(frontier)
@@ -143,9 +140,8 @@ class GroupTable:
             parent_gens.append(new % n_gens)
             lo = total
             total += new.size
-        keys = np.concatenate(keys_found)
-        digits = [keys // q**3, keys // q**2 % q, keys // q % q, keys % q]
-        self.elems = np.stack(digits, axis=-1).reshape(-1, 2, 2)
+        # a key's digits are the entries, most significant first
+        self.elems = digits(np.concatenate(keys_found), q, 4)[:, ::-1].reshape(-1, 2, 2)
         self.elems.flags.writeable = False
         self._index = index
         self.parent = np.concatenate(parents)
@@ -336,39 +332,6 @@ def subgroup_from_gens(group: GroupTable, gen_positions) -> Subgroup:
     return Subgroup(group, tuple(members), tuple(sorted(set(int(g) for g in gen_positions) - {0})))
 
 
-def sylow(group: GroupTable, p: int, seed: int = 42) -> Subgroup:
-    """A Sylow p-subgroup, found by closing random p-element parts.
-
-    Deterministic for a fixed seed; raises BudgetExceeded after
-    SYLOW_RESTARTS failed closures (never reached at this scale).
-    """
-    full = p_part(group.order, p)
-    if full == 1:
-        raise GroupError(f"{p} does not divide the group order {group.order}")
-    orders = group.element_orders
-    rng = np.random.default_rng(seed)
-    for _ in range(SYLOW_RESTARTS):
-        gens: list[int] = []
-        members = [0]
-        for _ in range(SYLOW_RESTARTS):
-            if len(members) == full:
-                return Subgroup(group, tuple(members), tuple(gens))
-            x = int(rng.integers(group.order))
-            o = int(orders[x])
-            op = p_part(o, p)
-            if op == 1:
-                continue
-            y = int(_powers(group, [x], o // op)[0])
-            if y == 0 or y in members:
-                continue
-            cand = _close_indices(group, gens + [y])
-            if len(cand) > full or p_part(len(cand), p) != len(cand):
-                break  # overshot or left the p-group lattice: restart
-            gens.append(y)
-            members = cand
-    raise BudgetExceeded(f"sylow({p}) search budget exhausted")
-
-
 def _powers(group: GroupTable, positions, n: int) -> np.ndarray:
     """Positions of x^n for the elements x at the given positions (n >= 0)."""
     F = group.field
@@ -459,9 +422,11 @@ def contains_normal_full_sylow(group: GroupTable, sub: Subgroup, r: int) -> bool
 
 
 def center(group: GroupTable) -> Subgroup:
-    """Elements commuting with every generator."""
+    """Elements commuting with every generator: all elements are tested
+    against the first generator, and only the survivors against the rest."""
     F = group.field
-    central = np.ones(group.order, dtype=bool)
+    central, x = np.arange(group.order), group.elems
     for g in group.gens:
-        central &= (_batch_mul(F, group.elems, g) == _batch_mul(F, g, group.elems)).all(axis=(1, 2))
-    return Subgroup(group, tuple(int(i) for i in np.flatnonzero(central)))
+        keep = (_batch_mul(F, x, g) == _batch_mul(F, g, x)).all(axis=(1, 2))
+        central, x = central[keep], x[keep]
+    return Subgroup(group, tuple(central.tolist()))

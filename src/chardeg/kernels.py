@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chardeg.fields import FieldError
+from chardeg.fields import FieldError, digits
 
 # Read by the environment fingerprint of perfbench/run.py; every kernel
 # here is plain numpy.
@@ -71,8 +71,8 @@ def _key_perms(gens: np.ndarray, r: int, dim: int) -> np.ndarray:
     while k < dim and r ** (k + 1) <= SWEEP_CHUNK:
         k += 1
     powers = r ** np.arange(dim, dtype=np.int64)
-    lo_digits = (np.arange(r**k, dtype=np.int64)[:, None] // powers[:k]) % r
-    hi_digits = (np.arange(r ** (dim - k), dtype=np.int64)[:, None] // powers[: dim - k]) % r
+    lo_digits = digits(np.arange(r**k), r, k)
+    hi_digits = digits(np.arange(r ** (dim - k)), r, dim - k)
     shifts = np.arange(r, dtype=np.int64)[:, None]
     perms = np.empty((len(gens), r**dim), dtype=np.int32)
     for perm, M in zip(perms, gens):

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from chardeg.fields import Field, field_make, field_from_json
+from chardeg.fields import Field, digits, field_make, field_from_json
 from chardeg.groups import (
     CapExceeded,
     GroupError,
@@ -35,7 +35,6 @@ from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import is_prime
 
 CHOP_DIM_CAP = 512
-PERM_DOMAIN_CAP = 4096
 ALGEBRA_BUDGET = 200
 LINE_ENUM_LIMIT = 600
 FINGERPRINT_COUNT = 20
@@ -203,8 +202,6 @@ def perm_module(group: GroupTable, action: str, r: int) -> GModule:
     else:
         raise ModuleError(f"unknown action {action!r}")
     n = xs.size
-    if n > PERM_DOMAIN_CAP:
-        raise CapExceeded(f"action domain of size {n} exceeds {PERM_DOMAIN_CAP}")
     # the domain (x, y) in ascending order of its key x*q + y; column i is where point i goes
     keys = xs * q + ys
     points = np.stack([xs, ys], axis=1)[:, :, None]
@@ -221,28 +218,13 @@ def perm_module(group: GroupTable, action: str, r: int) -> GModule:
     return GModule(group, field_make(r), images, check=False)
 
 
-def _scalar_embedding(F: Field, s: int) -> np.ndarray:
-    """Multiplication by s on F as a k x k matrix over the prime field.
-
-    Column j holds the coefficient vector of s * x^j in the power basis.
-    """
-    k = F.k
-    p = F.p
-    out = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        prod = F.mul(s, p**j)
-        for i in range(k):
-            out[i, j] = prod % p
-            prod //= p
-    return out
-
-
 def natural_restricted(q: int, group: GroupTable | None = None) -> GModule:
     """The 2-dimensional standard module written over the prime field.
 
-    Every generator entry is replaced by the k x k matrix of
-    multiplication by that scalar, giving a 2k-dimensional module over
-    F_t for q = t^k.
+    Every generator entry s is replaced by the k x k matrix of
+    multiplication by s, giving a 2k-dimensional module over F_t for
+    q = t^k: its column j holds the coefficients of s * x^j, the digits
+    of the table product of s and the index t^j of x^j.
     """
     from chardeg.groups import sl2_group
 
@@ -252,16 +234,9 @@ def natural_restricted(q: int, group: GroupTable | None = None) -> GModule:
     if F.order != q:
         raise ModuleError("group field does not match q")
     k = F.k
-    images = []
-    for g in group.gens:
-        M = np.zeros((2 * k, 2 * k), dtype=np.int64)
-        for bi in range(2):
-            for bj in range(2):
-                M[bi * k : (bi + 1) * k, bj * k : (bj + 1) * k] = _scalar_embedding(
-                    F, int(g[bi, bj])
-                )
-        images.append(M)
-    return GModule(group, field_make(F.p), images)
+    products = F.tables[1][group.gens[..., None], F.p ** np.arange(k)]  # (gen, bi, bj, j)
+    blocks = digits(products, F.p, k).transpose(0, 1, 4, 2, 3)  # (gen, bi, i, bj, j)
+    return GModule(group, field_make(F.p), blocks.reshape(-1, 2 * k, 2 * k))
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:

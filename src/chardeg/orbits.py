@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from chardeg.fields import digits
 from chardeg.kernels import orbit_stabilizers
 from chardeg.groups import CapExceeded, GroupError, Subgroup, contains_normal_full_sylow
 from chardeg.modules import GModule, ModuleError
@@ -58,11 +59,7 @@ class OrbitReport:
 
 
 def unpack_key(key: int, r: int, dim: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(dim):
-        out.append(key % r)
-        key //= r
-    return tuple(out)
+    return tuple(digits(key, r, dim).tolist())
 
 
 def stabilizer(m: GModule, v) -> Subgroup:
@@ -88,8 +85,8 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
     orbits = []
     nonzero_counts = {name: 0 for name in sylow_primes}
     normal_sylow: dict = {}  # (stabilizer members, prime) -> flag: one test per distinct pair
-    for rep_key, size, mem in zip(reps.tolist(), sizes.tolist(), members):
-        vec = unpack_key(rep_key, r, m.dim)
+    vecs = digits(reps, r, m.dim).tolist()
+    for rep_key, size, mem, vec in zip(reps.tolist(), sizes.tolist(), members, vecs):
         stab = Subgroup(group, tuple(mem.tolist()))
         if stab.order * size != group.order:
             raise GroupError("orbit-stabilizer identity failed")
@@ -101,7 +98,7 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
             flags[name] = normal_sylow[key]
             if flags[name] and rep_key != 0:
                 nonzero_counts[name] += size
-        orbits.append(Orbit(rep_key, vec, size, stab.order, flags, stab))
+        orbits.append(Orbit(rep_key, tuple(vec), size, stab.order, flags, stab))
     summary: dict = {"orbit_count": len(orbits), "sizes": sorted(s for s in sizes.tolist())}
     if sylow_primes:
         total_nonzero = r**m.dim - 1

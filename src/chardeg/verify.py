@@ -32,7 +32,6 @@ from chardeg.graphs import (
     graph_from_degrees,
 )
 from chardeg.groups import (
-    BudgetExceeded,
     CapExceeded,
     GroupError,
     Subgroup,
@@ -682,9 +681,7 @@ CHECKS = (
 SUITES = ("graphs", "groups", "modules", "orbits", "ledgers", "all")
 
 #: errors that end one check as status "error" while the run goes on
-CHECK_ERRORS = (
-    CapExceeded, BudgetExceeded, ClassifyError, FieldError, GroupError, LookupError, ModuleError
-)
+CHECK_ERRORS = (CapExceeded, ClassifyError, FieldError, GroupError, LookupError, ModuleError)
 
 
 def run_checks(suite: str = "all", seed: int = 42, harness: Harness | None = None) -> list[CheckResult]:

@@ -9,6 +9,15 @@ from chardeg.linalg import identity_matrix
 from chardeg.modules import GModule, _meataxe_step
 
 
+def digit_loop(n: int, base: int, width: int) -> list[int]:
+    """The base-`base` digits of n, least significant first, one division at a time."""
+    out = []
+    for _ in range(width):
+        out.append(n % base)
+        n //= base
+    return out
+
+
 def word(group: GroupTable, i: int) -> tuple[int, ...]:
     """Generator word (indices into gens) whose product is element i, read off the BFS parents."""
     out = []

@@ -26,7 +26,14 @@ from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group, subgroup_from
 from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
 from chardeg.linalg import nullspace
 from chardeg.modules import dual, irreducible_catalog, natural_restricted
-from chardeg.numtheory import is_prime, prime_divisors, prime_power_split, prime_powers
+from chardeg.numtheory import (
+    factorize,
+    is_prime,
+    multiplicative_order,
+    prime_divisors,
+    prime_power_split,
+    prime_powers,
+)
 from chardeg.orbits import orbit_decompose
 from oracles import is_irreducible, whole_group
 
@@ -409,7 +416,6 @@ def test_three_vertices():
 
 def test_three_vertices_match_direct_factorization():
     """Both lists against factorizing q - 1, q + 1 and q(q^2 - 1)/2 directly."""
-    from chardeg.numtheory import factorize
 
     scan = three_vertices_classify(2000)
     qs = prime_powers(5, 2000, odd_only=True)
@@ -427,3 +433,14 @@ def test_primitive_prime_divisors():
     assert primitive_prime_divisor(2, 10) == 11
     with pytest.raises(OverflowError):
         primitive_prime_divisor(2, 64)
+
+
+def test_primitive_prime_divisor_matches_definition():
+    """The least prime p of a^n - 1 with multiplicative_order(a, p) == n, over
+    the grid the primitive-divisors check reads."""
+    for a in range(2, 31):
+        for n in range(2, 31):
+            if a**n - 1 >= 1 << 63:
+                continue
+            primitive = [p for p in sorted(factorize(a**n - 1)) if multiplicative_order(a % p, p) == n]
+            assert primitive_prime_divisor(a, n) == (primitive[0] if primitive else None), (a, n)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chardeg.fields import TABLE_LIMIT, FieldError, field_from_json, field_make
+from chardeg.fields import TABLE_LIMIT, FieldError, digits, field_from_json, field_make
 from chardeg.numtheory import prime_power_split, prime_powers
+from oracles import digit_loop
 
 
 def test_prime_field_modulus_convention():
@@ -150,3 +153,16 @@ def test_tables_and_scalars_match_polynomial_arithmetic(q):
         assert (F.add(a, b), F.mul(a, b), F.neg(a), F.sub(a, b)) == (add[a][b], mul[a][b], neg[a], add[a][neg[b]])
         if a:
             assert F.inv(a) == inv[a]
+
+
+@given(st.integers(2, 49), st.integers(1, 8), st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+def test_digits_match_the_division_loop(base, width, ns):
+    """digits agrees with one division at a time, on a scalar and on an array,
+    and its digits spell every n below base^width back out."""
+    got = digits(np.asarray(ns), base, width)
+    assert got.shape == (len(ns), width) and got.dtype == np.int64
+    assert got.tolist() == [digit_loop(n, base, width) for n in ns]
+    assert digits(ns[0], base, width).tolist() == digit_loop(ns[0], base, width)
+    for n, row in zip(ns, got.tolist()):
+        if n < base**width:
+            assert sum(d * base**i for i, d in enumerate(row)) == n

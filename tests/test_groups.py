@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,10 @@ from chardeg.groups import (
     group_from_json,
     sl2_group,
     subgroup_from_gens,
-    sylow,
     sylow_char_subgroups,
 )
 from chardeg.linalg import identity_matrix
-from chardeg.numtheory import factorize, p_part
+from chardeg.numtheory import factorize, p_part, prime_powers
 from oracles import whole_group, word
 
 
@@ -150,12 +151,6 @@ def test_element_orders_divide_group_order(g7):
     assert all(g7.order % int(o) == 0 for o in orders)
     # largest element order in SL2(7) is 2 * 7 from the scalar-unipotent products
     assert int(orders.max()) == 14
-
-
-def test_sylow_orders(g7, g5):
-    assert sylow(g7, 7).order == 7
-    assert sylow(g7, 2).order == 16
-    assert sylow(g5, 3).order == 3
 
 
 def test_sylow_char_partition(g7):
@@ -355,7 +350,8 @@ def test_center_and_classes_match_mult_oracles(q):
 @pytest.mark.parametrize("q,r", [(7, 3), (11, 5), (13, 3), (16, 3), (16, 5), (19, 3)])
 def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
     """One batch over cyclic subgroups, a subgroup given two generators and
-    a Sylow r-subgroup, against conjugating one probe at a time."""
+    the Sylow r-subgroup of one element of full r-part order (cyclic, as the
+    odd r divides q - 1 only), against conjugating one probe at a time."""
     g = sl2_group(q)
     t = g.field.p
     sylows = sylow_char_subgroups(g)
@@ -365,8 +361,10 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
     r_elems = [int(x) for x in np.flatnonzero((orders > 1) & (r**6 % orders == 0))]
     x = r_elems[0]
     subs = [subgroup_from_gens(g, [y]) for y in r_elems[:24]]
-    subs += [subgroup_from_gens(g, [x, int(_powers(g, [x], 2)[0])]), sylow(g, r)]
+    full = int(np.flatnonzero(orders == p_part(g.order, r))[0])
+    subs += [subgroup_from_gens(g, [x, int(_powers(g, [x], 2)[0])]), subgroup_from_gens(g, [full])]
     assert len(subs[-2].generating_set()) == 2
+    assert subs[-1].order == p_part(g.order, r)
     expected = [
         sum(
             all(owner[_conj(g, T.members[1], k)] == i for k in sub.generating_set())
@@ -475,3 +473,37 @@ def test_subgroup_from_gens_matches_two_sided_closure(q):
         assert list(sub.members) == _two_sided_closure(g, gens)
         sizes.add(sub.order)
     assert len(sizes) > 1
+
+
+# sha256 of elems (little-endian int64) of SL2(q) for every q the group layer
+# enumerates; the elements are decoded from their keys' digits
+ELEMS_DIGESTS = {
+    4: "59794b67aa04f9da0c5223b999ed4004deeac1aaf595b44a52147fc6b555306e",
+    5: "717835f90853cd59ad47b8590d83781ac76f37fcb34bf30cb93be2ee9ac0db17",
+    7: "f0fa9add872f786260aeb9e9e11b712a463271db92867fc04bd70af7ab4259d1",
+    8: "2ced9fd1f68c345cdf0fdb8384f87674c754f9f3dbc9b5ca904ed5cbfc8e1572",
+    9: "8b82ba7b5f684cd1a4c63c1de0a7a63ae4f79c5c35427cc9a4cb7351d80f285d",
+    11: "a86645f8f8681bd2757fd22ee8afaf18156e02e5f42f700e1122955389af0b06",
+    13: "1c93334ffc5185feae6cccad0c2544294355e3659f06aec6e1564a0ac68f8b88",
+    16: "2212fc41e54c0e4a933c24e68c7af9e28ec7d7acb39a90ce2044895edcb28eeb",
+    17: "fa2db6c08c42a33f703212f0514186943247b66608dec6bd8b48273da1a7dd9d",
+    19: "adafd488e25ab69b5e60865513bc395c826ea9430c81693bca6974d4116ee761",
+    23: "c5493e21002bdc7a86340aefa9459a87ef95d50efad0749e7131a7190332020f",
+    25: "1684a3484756639d4aa1e59514694ea25e0f636dfd4a683cc0fa802f983a08c5",
+    27: "64e6264c6d8fbca25ea7dee3a528c7a92317b8b8649bad5a6c0cb834b46ab4e2",
+    29: "7a7ec06833fb6a1d718e5535e499fbc084ee20c10a694f56d68afcb44fe9aa47",
+    31: "a9e2eec605eafe8d043df91c48c0f9f6cc03ba443108d4138f1dcbabaeccd42b",
+    32: "dfd7d82722935e8461b516d9b04b2c55a04b264e0f7d88e1f0d5a12e530b6604",
+    37: "a85c9703bf9009afa35c76bf326575d0de927bf89ed61c1ac7bc6595121c1377",
+    41: "08412d52c79c2397c7a7e3ffeda5dc1b478696ae125589233c5f089d5b90fcd9",
+    43: "8aeb9be0ba615623134eecb5c1e75e9cdb68d4f4766ecfde49bfefcf138b67d6",
+    47: "6f1bc1bc6587ee66bc578857d69fa111a6e4612d847503463f8fb761c6ec147c",
+    49: "96a5e0609d385ad8cb212f463b60259fdc1677358fb99fe060da1a99ae6b0936",
+}
+
+
+def test_elems_bytes_are_pinned():
+    assert list(ELEMS_DIGESTS) == prime_powers(4, FIELD_ORDER_CAP)
+    for q, want in ELEMS_DIGESTS.items():
+        elems = np.ascontiguousarray(sl2_group(q).elems, dtype="<i8")
+        assert hashlib.sha256(elems.tobytes()).hexdigest() == want, f"SL2({q})"

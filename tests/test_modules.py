@@ -1,21 +1,22 @@
 import functools
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from chardeg.fields import field_make
 from chardeg.groups import (
+    FIELD_ORDER_CAP,
     _batch_mul,
     sl2_group,
     subgroup_from_gens,
-    sylow,
     sylow_char_subgroups,
 )
 from chardeg.kernels import rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
-from chardeg.numtheory import prime_divisors
+from chardeg.numtheory import p_part, prime_divisors, prime_powers
 from chardeg.modules import (
     ModuleError,
     chop,
@@ -493,7 +494,11 @@ def test_fixed_subspace_matches_exhaustive_count(p):
     for m in _small_modules(p):
         g = m.group
         subs = [sylow_char_subgroups(g)[0], whole_group(g), trivial_subgroup(g), subgroup_from_gens(g, [1])]
-        subs += [sylow(g, u) for u in sorted(prime_divisors(g.order))]
+        # every cyclic Sylow subgroup, and the non-abelian Borel subgroup
+        fulls = [p_part(g.order, u) for u in sorted(prime_divisors(g.order))]
+        orders = g.element_orders
+        subs += [subgroup_from_gens(g, np.flatnonzero(orders == n)[:1]) for n in fulls if n in orders]
+        subs.append(subgroup_from_gens(g, g.indices_of_matrices(g.gens[[1, 3]])))
         vecs = _vectors(p, m.dim)
         for sub in subs:
             fixed = np.ones(len(vecs), dtype=bool)
@@ -687,3 +692,61 @@ def test_chop_factor_bytes_are_pinned(q, r):
             for img in factor.gen_images:
                 h.update(np.ascontiguousarray(img, dtype="<i8").tobytes())
         assert h.hexdigest() == want, f"chop seed {seed}"
+
+
+def _json_sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the JSON list of every entry's module in each CATALOG_SPECS
+# catalog at seed 42, (q, r) -> digest
+CATALOG_MODULE_DIGESTS = {
+    (4, 2): "be006a935d76e0e68b566c6ebf660c5b630adb605ee721983c1eeae8b876ee82",
+    (4, 3): "ad8c1f1e377e4f9916326c6a2f2c576498bc3ec6e8024c3e42a2f56118aa9424",
+    (5, 2): "b42ebf785589b9800fec7e9b8e3b16cf7f5c5734aac0deb6599e023dc28e96d8",
+    (5, 3): "7c83387ec976e53cb4139b2839133f2a0138380a8a43562b7d752b0efffa6d97",
+    (7, 2): "46ae32b2f4904b0bd45722d45b38253c97517088d13559e462705d9bb95c4354",
+    (9, 2): "5749635226e9ba8dac1bc86986850ec6da5baaeb876e607f1beac6d8dcfcb669",
+    (9, 3): "317e813f4f0ca6339211609292a7421e1e3087330ed79f85f051e36b69381f7b",
+    (11, 3): "fb6421d42b0650d1fd3f06eb20bba3cd4c2723d857c5c60e186be14a63feeb5d",
+    (13, 3): "93ff122e45209327facf8c910de210636af3287b1902f722e61104a438168e4f",
+}
+
+
+def test_catalog_module_bytes_are_pinned(harness):
+    assert list(CATALOG_MODULE_DIGESTS) == [(q, r) for q, r, _cap in CATALOG_SPECS]
+    for (q, r), want in CATALOG_MODULE_DIGESTS.items():
+        modules = [e.module.to_json() for e in harness.catalog(q, r).entries]
+        assert _json_sha256(modules) == want, f"sl2:{q}/F{r}"
+
+
+# sha256 of the JSON of natural_restricted(q) for every q the group layer enumerates
+NATURAL_DIGESTS = {
+    4: "da9942fd16868b554057b27b674621f37afbc06b18df29822cdda612b710be81",
+    5: "9070b46971d63cb4ad37f7540f1119f8bb72386782d76ee20e6dab394094311b",
+    7: "9116cceda2e1c7d0bd99ee12c74e1b5ad64b00e09d2c9f7265e51cacfc7a0e0c",
+    8: "5238a4c3c5e6a23f66338f5726410d13f946ce99dbd7cb2481c90869228f9704",
+    9: "98d826e24a69a08f45911cd9130596ddb2da3a4fe2cbae84aa25fe3b4c549024",
+    11: "1bc8bc9a17cdd186fe950b0738d40cf528774af4eea93cc0dd3eaa8102e70b8b",
+    13: "cd45c416a9e3229ffcd930f5311d9ccf89c0dfcda8280886b74e54934f9d7689",
+    16: "867302600009eac4c2ecafb201bad051c3513963f35a7a54e473bcb0226ee4eb",
+    17: "ba663ca8a8f08db632210a14ff6e7338b350a9ce59ab295ce31a8134cfd69dbc",
+    19: "52c7ce0d2ea1f96b808587cbef50a227e7b48643cfc55a91941f8d822ac80bca",
+    23: "7a76b2fa00c67c77be3518c9257bac25799896ba52bd566e42c49ad31196aa77",
+    25: "c32538b8aea73576c71d57a5247e304021f58acdd305edd51737d39e4c1ab65b",
+    27: "15f29915dae5caa4c6ab027659fe7cf42601e8e3d4948b444e845ef858973b65",
+    29: "37fe9a8c195ccf17a9ab10131fd9df77ed44fefa19166c4aaa134f088e9a1198",
+    31: "4781c23010be4ea48c5c1eeaa4b9f853bb6fa0d2612374080a26c356a18da7c9",
+    32: "bb9a7d0ffdaba2084e1796219751a2569dd4904e4daf3cdb421a48d70bd8dde7",
+    37: "d8516727e1c8aa3b10e4eeecbb8af446a44a5be62118d587758b227f4c546be3",
+    41: "60b181cda97b4114dc8852411032e1af59cc416479cc4b33f4349f117395ec14",
+    43: "ede7e9832a7992afcac1aa17703d8b60a7a5ec503a973057a1db0d25616d1762",
+    47: "9c7c3d8419b1a9d5c39bf8fb0c0dd2b32e44fbe6ccbf991735fccab6be1aa29b",
+    49: "4135ea5e1710ef7e8851eb3859b88845a30e08ebee1f80c38e579998bf1edcf5",
+}
+
+
+def test_natural_restricted_bytes_are_pinned():
+    assert list(NATURAL_DIGESTS) == prime_powers(4, FIELD_ORDER_CAP)
+    for q, want in NATURAL_DIGESTS.items():
+        assert _json_sha256(natural_restricted(q).to_json()) == want, f"q={q}"
