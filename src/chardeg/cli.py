@@ -350,10 +350,7 @@ def main(argv=None) -> int:
     except (InconclusiveError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (GroupError, ModuleError, FieldError, DegreeSetError, ClassifyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (GroupError, ModuleError, FieldError, DegreeSetError, ClassifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

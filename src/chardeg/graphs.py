@@ -111,44 +111,28 @@ class GraphAnalysis:
 
 
 def analyze(g: PrimeGraph) -> GraphAnalysis:
-    """Components by search, articulation points by low-link, complete
-    vertices by degree count."""
+    """Components and articulation points from one depth-first search with
+    low-links (Tarjan, SIAM J. Comput. 1, 1972): the vertices that each root
+    discovers form its component.  Complete vertices by degree count."""
     adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
-    seen: set[int] = set()
-    components = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        components.append(tuple(sorted(comp)))
-    # iterative Tarjan low-link articulation search
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     arts: set[int] = set()
-    counter = 0
+    components = []
     for root in g.vertices:
         if root in disc:
             continue
+        comp = [root]
         stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = counter
-        counter += 1
+        disc[root] = low[root] = len(disc)
         root_children = 0
         while stack:
             v, parent, it = stack[-1]
             advanced = False
             for w in it:
                 if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
+                    disc[w] = low[w] = len(disc)
+                    comp.append(w)
                     if v == root:
                         root_children += 1
                     stack.append((w, v, iter(adj[w])))
@@ -165,6 +149,7 @@ def analyze(g: PrimeGraph) -> GraphAnalysis:
                         arts.add(pv)
         if root_children > 1:
             arts.add(root)
+        components.append(tuple(sorted(comp)))
     n = len(g.vertices)
     complete = tuple(v for v in g.vertices if len(adj[v]) == n - 1 and n > 1)
     return GraphAnalysis(tuple(sorted(components)), tuple(sorted(arts)), complete)
@@ -222,11 +207,7 @@ def degree_set(family: str, q: int) -> DegreeSet:
     else:  # pgl2, q odd
         mult = {1: 2, q: 2, q + 1: (q - 3) // 2, q - 1: (q - 1) // 2}
         expected = q * (q * q - 1)
-    merged: dict[int, int] = {}
-    for d, m in mult.items():
-        if m > 0:
-            merged[d] = merged.get(d, 0) + m
-    ds = DegreeSet.from_multiplicities(merged)
+    ds = DegreeSet.from_multiplicities(mult)
     if ds.sum_of_squares() != expected:
         raise DegreeSetError(
             f"sum of squares {ds.sum_of_squares()} != order {expected} for {family}({q})"

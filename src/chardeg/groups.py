@@ -9,7 +9,9 @@ arithmetic is batched: products and inverses of matrix stacks
 (_batch_mul, _batch_inv_det1, _powers), and one dense index over all q^4
 matrix keys that maps a stack of matrices back to element positions in
 one gather; it bounds the field order by FIELD_ORDER_CAP.  Element orders
-are computed once per trace value.
+are computed once per trace value.  A subgroup's generating set is read
+off kernels.orbit_labels: the subgroup that some members generate is the
+orbit of the identity under right multiplication by them.
 """
 
 from __future__ import annotations
@@ -277,37 +279,25 @@ class Subgroup:
         return len(self.members)
 
     def generating_set(self) -> tuple[int, ...]:
+        """Greedy generators: the least member that the earlier ones do not
+        generate, until they generate all.  What they generate is the orbit of
+        the identity under right multiplication: the members labelled 0."""
         if self.gens:
             return self.gens
         g = self.parent
-        have = {0}
+        members = np.asarray(self.members, dtype=np.int64)
+        mats = g.elems[members]
         chosen: list[int] = []
-        for m in self.members:
-            if m in have:
-                continue
-            chosen.append(m)
-            have = set(_close_indices(g, [*chosen]))
-            if len(have) == self.order:
-                break
+        perms: list[np.ndarray] = []
+        label = orbit_labels(perms, members.size)
+        while label.any():
+            i = int(np.argmax(label != 0))
+            chosen.append(int(members[i]))
+            prods = _batch_mul(g.field, mats, mats[i])
+            perms.append(np.searchsorted(members, g.indices_of_matrices(prods)))
+            label = orbit_labels(perms, members.size)
         object.__setattr__(self, "gens", tuple(chosen))
         return self.gens
-
-
-def _close_indices(group: GroupTable, gen_positions) -> list[int]:
-    """Closure of the identity under right multiplication by the generators.
-
-    One batched product of the frontier by every generator per level.  In
-    a finite group every inverse is a positive power, so this is the
-    generated subgroup.
-    """
-    gens = group.elems[np.asarray(gen_positions, dtype=np.int64)]
-    members = {0}
-    frontier = [0]
-    while frontier:
-        prods = _batch_mul(group.field, group.elems[frontier][:, None], gens[None])
-        frontier = list(set(group.indices_of_matrices(prods.reshape(-1, 2, 2)).tolist()) - members)
-        members.update(frontier)
-    return sorted(members)
 
 
 def _class_labels(group: GroupTable, members: np.ndarray, gen_positions):
@@ -325,11 +315,6 @@ def _class_labels(group: GroupTable, members: np.ndarray, gen_positions):
         conj = _batch_mul(F, _batch_mul(F, _batch_inv_det1(F, g), mats), g)
         perms.append(np.searchsorted(members, group.indices_of_matrices(conj)))
     return _number_orbits(orbit_labels(perms, members.size))
-
-
-def subgroup_from_gens(group: GroupTable, gen_positions) -> Subgroup:
-    members = _close_indices(group, list(gen_positions))
-    return Subgroup(group, tuple(members), tuple(sorted(set(int(g) for g in gen_positions) - {0})))
 
 
 def _powers(group: GroupTable, positions, n: int) -> np.ndarray:

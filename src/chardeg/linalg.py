@@ -1,10 +1,11 @@
 """Prime-field linear algebra beside the echelon engine: nullspace and inverse.
 
 Matrices are plain numpy int64 arrays of residues mod p; every function
-that takes a field reduces through kernels.rref_prime, the one echelon
-call, which callers that need a rank or a reduced basis use directly.  An
-extension field raises FieldError: modules are prime-field only, and the
-groups' extension fields do their arithmetic through Field.tables.
+that takes a field runs one kernels.rref_prime, the one echelon call
+(nullspace on the columns in reverse order), which callers that need a
+rank or a reduced basis use directly.  An extension field raises
+FieldError: modules are prime-field only, and the groups' extension
+fields do their arithmetic through Field.tables.
 Matrix products of module matrices go through kernels.mul_mod, the exact
 float64 product.
 """
@@ -32,19 +33,19 @@ def identity_matrix(n: int) -> np.ndarray:
 
 
 def nullspace(F: Field, A) -> np.ndarray:
-    """Basis of the right null space {x : A x = 0}, as RREF rows."""
+    """Basis of the right null space {x : A x = 0}, as RREF rows: with the
+    columns reduced in reverse order, each free column's basis vector is zero
+    before that column and in the other free columns, hence already RREF."""
     A = _prime_matrix(F, A)
     n = A.shape[1]
-    R, piv, _ = kernels.rref_prime(A, F.p)
+    R, piv, _ = kernels.rref_prime(A[:, ::-1], F.p)
     free = np.ones(n, dtype=bool)
     free[piv] = False
-    free = np.flatnonzero(free)
-    if not free.size:
-        return np.zeros((0, n), dtype=np.int64)
+    free = np.flatnonzero(free)[::-1]
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-R[: piv.size, free].T) % F.p
-    return kernels.rref_prime(basis, F.p)[0]
+    return np.ascontiguousarray(basis[:, ::-1])
 
 
 def mat_inv(F: Field, A) -> np.ndarray:

@@ -5,7 +5,8 @@ elements of the group algebra supply kernel vectors, spinning either
 splits the module or, through Norton's two-sided test, certifies
 irreducibility.  A search that exhausts its budget surfaces as
 InconclusiveError, never as a wrong answer.  spin is the one closure
-routine; the Hom solve reads its standard basis off the words spin records.
+routine; the Hom solve reads its standard basis and the basis words off
+spin's record of each round.
 GModule.images is the one map from group elements to module matrices: a
 walk of the group's BFS tree over the asked elements and their ancestors.
 Class traces and the kernel read the class representatives alone (a kernel
@@ -270,11 +271,11 @@ def _spin(F: Field, seeds, action_mats, dim: int) -> tuple[np.ndarray, list]:
     are its entries in the pivot columns.  rref_prime's source rows are the
     images that joined, and they are the next frontier.
 
-    Returns (basis, rounds).  A round (offset, src) gives the codes
-    src + offset of the words that joined in it, in basis order: word j is
-    seeds[i] when its code is -1 - i, and word parent times action_mats[k]
-    when its code is parent * len(action_mats) + k.  The words are a basis
-    of the closure as well, its standard basis.
+    Returns (basis, rounds).  A round (codes, vectors) holds the vectors that
+    joined in it, unreduced, and their words' codes, in basis order: word j
+    is seeds[i] when its code is -1 - i, and word parent times action_mats[k]
+    when its code is parent * len(action_mats) + k.  The joined vectors are a
+    basis of the closure as well, its standard basis.
     """
     p, g = F.p, len(action_mats)
     stacked = np.concatenate(action_mats, axis=1).astype(np.float64)
@@ -295,7 +296,8 @@ def _spin(F: Field, seeds, action_mats, dim: int) -> tuple[np.ndarray, list]:
             if not new_piv.size:
                 break
             new = new[: new_piv.size]
-            rounds.append((offset, src))
+            joined = frontier[src]
+            rounds.append((src + offset, joined))
             offset = piv.size * g
             if piv.size:
                 new = np.concatenate([(basis - mul_mod(basis[:, new_piv], new, p)) % p, new])
@@ -303,7 +305,7 @@ def _spin(F: Field, seeds, action_mats, dim: int) -> tuple[np.ndarray, list]:
             basis, piv = new, new_piv
             if piv.size == dim:
                 break
-            frontier = mul_mod(frontier[src], stacked, p).reshape(-1, dim)
+            frontier = mul_mod(joined, stacked, p).reshape(-1, dim)
     return basis, rounds
 
 
@@ -440,28 +442,27 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
     in m2.  With C = B^-1 M1 B for each generator, X intertwines exactly
     when M2 P_j - sum_k C[k, j] P_k = 0 for every j, a system in s * d2
     unknowns rather than the d1 * d2 of the Kronecker-product system.  B
-    is spun from the unit vectors e_0, e_1, ... by _spin.
+    is the record of _spin from the unit vectors e_0, e_1, ..., and the
+    words are evaluated in m2 one spin round at a time.
     """
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("hom spaces need the same group and field")
     p, d1, d2 = m1.field.p, m1.dim, m2.dim
     g = len(m1.gen_images)
     rounds = _spin(m1.field, identity_matrix(d1), [M.T for M in m1.gen_images], d1)[1]
-    codes = np.concatenate([src + offset for offset, src in rounds])
-    seeds = int((codes < 0).sum())
-    basis = np.zeros((d1, d1), dtype=np.int64)
+    B = np.concatenate([vectors for _, vectors in rounds]).T
+    seeds = sum(int(codes[0] < 0) for codes, _ in rounds)
+    gens2 = np.stack(m2.gen_images)
     words = np.zeros((d1, d2, seeds * d2), dtype=np.int64)
-    t = 0
-    for j, code in enumerate(codes.tolist()):
-        if code < 0:  # the t-th seed, unit vector -1 - code, whose image is block t of w
-            basis[j, -1 - code] = 1
+    j = t = 0
+    for codes, _ in rounds:
+        if codes[0] < 0:  # a round of one seed, the t-th, whose image is block t of w
             words[j, :, t * d2 : (t + 1) * d2] = identity_matrix(d2)
             t += 1
         else:  # generator k images b_parent to b_j
-            parent, k = divmod(code, g)
-            basis[j] = mul_mod(m1.gen_images[k], basis[parent], p)
-            words[j] = mul_mod(m2.gen_images[k], words[parent], p)
-    B = basis.T
+            parent, k = np.divmod(codes, g)
+            words[j : j + codes.size] = mul_mod(gens2[k], words[parent], p)
+        j += codes.size
     Binv = mat_inv(m1.field, B)
     flat = words.reshape(d1, -1)
     blocks = []

@@ -25,6 +25,7 @@ from chardeg.classify import (
 )
 from chardeg.fields import FieldError, field_make
 from chardeg.graphs import (
+    DegreeSetError,
     analyze,
     articulation_points_bruteforce,
     component_structure_ok,
@@ -54,6 +55,7 @@ from chardeg.modules import (
 )
 from chardeg.numtheory import p_part, prime_divisors, prime_powers
 from chardeg.orbits import (
+    ORBIT_SPACE_CAP,
     covering_classify,
     orbit_decompose,
     stabilizer,
@@ -76,7 +78,6 @@ CATALOG_SPECS = (
 
 GROUP_ORDER_RANGE = (4, 5, 7, 8, 9, 11, 13, 16, 17, 25)
 TWO_SYLOW_PAIRS = ((7, 3), (13, 3), (11, 5), (25, 3))
-ORBIT_SPACE_SWEEP_CAP = 3**12
 
 
 @dataclass
@@ -136,7 +137,7 @@ class Harness:
         out = []
         for q, r, _cap in CATALOG_SPECS:
             for i, e in enumerate(self.catalog(q, r).entries):
-                if e.dim < 2 or r**e.dim > ORBIT_SPACE_SWEEP_CAP:
+                if e.dim < 2 or r**e.dim > ORBIT_SPACE_CAP:
                     continue
                 out.append((q, f"sl2:{q}/F{r}/dim{e.dim}#{i}", e))
         return out
@@ -681,7 +682,7 @@ CHECKS = (
 SUITES = ("graphs", "groups", "modules", "orbits", "ledgers", "all")
 
 #: errors that end one check as status "error" while the run goes on
-CHECK_ERRORS = (CapExceeded, ClassifyError, FieldError, GroupError, LookupError, ModuleError)
+CHECK_ERRORS = (CapExceeded, ClassifyError, DegreeSetError, FieldError, GroupError, LookupError, ModuleError)
 
 
 def run_checks(suite: str = "all", seed: int = 42, harness: Harness | None = None) -> list[CheckResult]:

@@ -1,10 +1,11 @@
-"""Test-only helpers: the generator-word replay oracle and small conveniences
-that no library code needs."""
+"""Test-only helpers: the generator-word replay oracle, the set-based subgroup
+closure and small conveniences that no library code needs."""
 
 import numpy as np
 
 from chardeg.groups import GroupTable, Subgroup, _batch_mul
-from chardeg.kernels import mul_mod
+from chardeg.fields import Field
+from chardeg.kernels import mul_mod, rref_prime
 from chardeg.linalg import identity_matrix
 from chardeg.modules import GModule, _meataxe_step
 
@@ -39,6 +40,58 @@ def replay_kernel(m: GModule) -> tuple[int, ...]:
     """Positions of the elements whose replayed image is the identity."""
     ident = identity_matrix(m.dim)
     return tuple(i for i in range(m.group.order) if np.array_equal(replay_image(m, i), ident))
+
+
+def close_indices(group: GroupTable, gen_positions) -> list[int]:
+    """Closure of the identity under right multiplication by the generators,
+    one batched product of the frontier by every generator per level, kept
+    as a set.  In a finite group every inverse is a positive power, so this
+    is the generated subgroup."""
+    gens = group.elems[np.asarray(gen_positions, dtype=np.int64)]
+    members = {0}
+    frontier = [0]
+    while frontier:
+        prods = _batch_mul(group.field, group.elems[frontier][:, None], gens[None])
+        frontier = list(set(group.indices_of_matrices(prods.reshape(-1, 2, 2)).tolist()) - members)
+        members.update(frontier)
+    return sorted(members)
+
+
+def subgroup_from_gens(group: GroupTable, gen_positions) -> Subgroup:
+    members = close_indices(group, list(gen_positions))
+    return Subgroup(group, tuple(members), tuple(sorted(set(int(g) for g in gen_positions) - {0})))
+
+
+def greedy_generators(sub: Subgroup) -> tuple[int, ...]:
+    """The least member outside the closure of the earlier choices, one set-based
+    closure per choice, until the closure is the whole subgroup."""
+    have = {0}
+    chosen: list[int] = []
+    for m in sub.members:
+        if m in have:
+            continue
+        chosen.append(m)
+        have = set(close_indices(sub.parent, chosen))
+        if len(have) == sub.order:
+            break
+    return tuple(chosen)
+
+
+def two_echelon_nullspace(F: Field, A) -> np.ndarray:
+    """Right null space by one echelon of A, the free columns' basis vectors,
+    and a second echelon of those into RREF."""
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[1]
+    R, piv, _ = rref_prime(A, F.p)
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    if not free.size:
+        return np.zeros((0, n), dtype=np.int64)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-R[: piv.size, free].T) % F.p
+    return rref_prime(basis, F.p)[0]
 
 
 def trivial_subgroup(group: GroupTable) -> Subgroup:

@@ -22,7 +22,7 @@ from chardeg.classify import (
 )
 from chardeg.fields import field_make
 from chardeg.graphs import analyze, degree_set, graph_from_degrees
-from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group, subgroup_from_gens
+from chardeg.groups import _batch_inv_det1, _batch_mul, sl2_group
 from chardeg.kernels import _number_orbits, orbit_labels, rref_prime
 from chardeg.linalg import nullspace
 from chardeg.modules import dual, irreducible_catalog, natural_restricted
@@ -35,7 +35,7 @@ from chardeg.numtheory import (
     prime_powers,
 )
 from chardeg.orbits import orbit_decompose
-from oracles import is_irreducible, whole_group
+from oracles import is_irreducible, subgroup_from_gens, whole_group
 
 mp.dps = 80
 

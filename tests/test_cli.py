@@ -369,6 +369,28 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
 
 
+def test_verify_isolates_a_degree_set_error(monkeypatch, tmp_path):
+    """A sum-of-squares guard that fires inside a check ends that check as
+    error; the run goes on, writes its report and exits 1."""
+    import chardeg.verify as verify
+    from chardeg.graphs import DegreeSetError
+
+    def raising(family, q):
+        raise DegreeSetError("guard fired on purpose")
+
+    monkeypatch.setattr(verify, "degree_set", raising)
+    keep = ("degree-square-identity", "graph-analyzer-oracle")
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[0] in keep))
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "graphs", "--out", str(out_file)]) == 1
+    report = json.loads(out_file.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["degree-square-identity"]["status"] == "error"
+    assert by_name["degree-square-identity"]["observed"] == "DegreeSetError: guard fired on purpose"
+    assert by_name["graph-analyzer-oracle"]["status"] == "pass"
+    assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("error", ["FieldError", "ModuleError"])
 def test_run_checks_isolates_field_and_module_errors(monkeypatch, error):
     import chardeg.verify as verify
@@ -570,3 +592,11 @@ def test_verify_seed_independent_outcomes(capsys, tmp_path):
     outcomes_a = [(c["name"], c["status"]) for c in ra["checks"]]
     outcomes_b = [(c["name"], c["status"]) for c in rb["checks"]]
     assert outcomes_a == outcomes_b
+    # the suites whose catalogs, chops and orbit sweeps are seeded
+    from chardeg.verify import Harness, run_checks
+
+    for seed in (1, 7):
+        h = Harness(seed=seed)
+        results = run_checks("modules", harness=h) + run_checks("orbits", harness=h)
+        assert {r.suite for r in results} == {"modules", "orbits"}
+        assert [(r.name, r.status) for r in results if r.status != "pass"] == [], f"seed {seed}"

@@ -70,6 +70,39 @@ def test_articulation_against_bruteforce(k, seed):
     assert sorted(analyze(g).articulation_points) == sorted(articulation_points_bruteforce(g))
 
 
+def _bfs_components(g):
+    """Oracle: breadth-first search from each unvisited vertex, over the edge set."""
+    seen, comps = set(), []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        queue = [v]
+        for x in queue:
+            for y in g.vertices:
+                if y not in seen and g.adjacent(x, y):
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(queue)))
+    return tuple(sorted(comps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_components_match_bfs_oracle(k, density, seed):
+    """One depth-first search yields the components a separate search finds,
+    on random graphs from empty to dense, with isolated vertices."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    verts = sorted(rng.choice(100, size=k, replace=False).tolist())
+    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < density]
+    g = graph_from_edges(verts, edges)
+    a = analyze(g)
+    assert a.components == _bfs_components(g)
+    assert sorted(a.articulation_points) == sorted(articulation_points_bruteforce(g))
+
+
 def test_degree_set_requires_one():
     with pytest.raises(DegreeSetError):
         DegreeSet.from_multiplicities({2: 1, 3: 1})

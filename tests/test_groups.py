@@ -18,12 +18,11 @@ from chardeg.groups import (
     count_normalized_sylow,
     group_from_json,
     sl2_group,
-    subgroup_from_gens,
     sylow_char_subgroups,
 )
 from chardeg.linalg import identity_matrix
 from chardeg.numtheory import factorize, p_part, prime_powers
-from oracles import whole_group, word
+from oracles import close_indices, greedy_generators, subgroup_from_gens, whole_group, word
 
 
 @pytest.fixture(scope="module")
@@ -461,8 +460,9 @@ def _two_sided_closure(group, gen_positions):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 25])
 def test_subgroup_from_gens_matches_two_sided_closure(q):
     """Closing under right products alone gives the members of the two-sided
-    closure: on one random generator, on one together with the identity, and
-    on two or three random generators."""
+    closure, on one random generator, on one together with the identity, and
+    on two or three random generators; and the generating set that a
+    Subgroup with the same members picks generates them too."""
     g = sl2_group(q)
     rng = np.random.default_rng(q)
     x = int(rng.integers(g.order))
@@ -471,8 +471,45 @@ def test_subgroup_from_gens_matches_two_sided_closure(q):
     for gens in gen_sets:
         sub = subgroup_from_gens(g, gens)
         assert list(sub.members) == _two_sided_closure(g, gens)
+        assert _two_sided_closure(g, Subgroup(g, sub.members).generating_set()) == list(sub.members)
         sizes.add(sub.order)
     assert len(sizes) > 1
+
+
+def _sylow_subgroups(g):
+    """The Sylow t-subgroups and, for each odd prime r other than t, one cyclic
+    Sylow r-subgroup (generated by an element of the full r-part order)."""
+    t = g.field.p
+    subs = sylow_char_subgroups(g)
+    orders = g.element_orders
+    for r in factorize(g.order):
+        if r not in (2, t):
+            x = int(np.flatnonzero(orders == p_part(g.order, r))[0])
+            subs.append(Subgroup(g, close_indices(g, [x])))
+    return subs
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_generating_set_matches_greedy_closure_oracle(q):
+    g = sl2_group(q)
+    subs = [whole_group(g), Subgroup(g, (0,)), *_sylow_subgroups(g)]
+    for sub in subs:
+        gens = sub.generating_set()
+        assert gens == greedy_generators(Subgroup(g, sub.members))
+        assert close_indices(g, gens) == list(sub.members)
+    assert len(subs[0].generating_set()) > 1 and subs[1].generating_set() == ()
+
+
+def test_generating_set_of_every_sweep_stabilizer_matches_oracle(harness):
+    seen = set()
+    for _q, _label, e in harness.sweep_modules():
+        for orb in harness.orbit_report(e.module).orbits:
+            stab = orb.stab
+            if (id(stab.parent), stab.members) in seen:
+                continue
+            seen.add((id(stab.parent), stab.members))
+            assert Subgroup(stab.parent, stab.members).generating_set() == greedy_generators(stab)
+    assert len(seen) > 31
 
 
 # sha256 of elems (little-endian int64) of SL2(q) for every q the group layer

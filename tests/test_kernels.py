@@ -422,9 +422,10 @@ def test_spin_matches_exhaustive_closure():
                 span = _row_span(p, W)
                 assert len(span) == p ** W.shape[0]  # the rows are independent
                 assert span == _closure(p, list(seeds), mats)
-                # the words the codes name are an independent spanning set too
+                # the words the codes name are an independent spanning set too,
+                # and the recorded vectors are those words
                 basis, rounds = _spin(F, list(seeds), mats, d)
-                codes = [int(c) + offset for offset, src in rounds for c in src]
+                codes = [int(c) for round_codes, _ in rounds for c in round_codes]
                 assert np.array_equal(basis, W) and len(codes) == W.shape[0]
                 words = np.zeros(W.shape, dtype=np.int64)
                 for j, code in enumerate(codes):
@@ -435,3 +436,5 @@ def test_spin_matches_exhaustive_closure():
                         assert parent < j
                         words[j] = words[parent] @ mats[k] % p
                 assert _row_span(p, words) == span
+                recorded = np.concatenate([np.zeros((0, d), dtype=np.int64), *(v for _, v in rounds)])
+                assert recorded.dtype == np.int64 and np.array_equal(recorded, words)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chardeg.fields import FieldError, field_make
 from chardeg.kernels import rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
+from oracles import two_echelon_nullspace
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -121,3 +122,50 @@ def test_rank_nullity_and_idempotence(p, m, n, seed):
     # every kernel row really is in the kernel
     if ns.shape[0]:
         assert not ((A @ ns.T) % p).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from(["random", "zero", "full-rank", "zero-column"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nullspace_matches_two_echelon_oracle(p, m, n, kind, seed):
+    """The one-echelon nullspace equals the RREF of the free columns' basis
+    vectors, byte for byte, on random, zero, full-rank and zero-column
+    matrices (and on zero rows or zero columns)."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, size=(m, n)).astype(np.int64)
+    if kind == "zero":
+        A[:] = 0
+    elif kind == "full-rank":
+        # upper triangular with a nonzero diagonal, columns shuffled: rank min(m, n)
+        k = min(m, n)
+        T = np.triu(rng.integers(0, p, size=(k, max(m, n))), 1)
+        T[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+        T = T[:, rng.permutation(max(m, n))]
+        A = T if m <= n else T.T
+        assert _rank(field_make(p), A) == k
+    elif kind == "zero-column" and n:
+        A[:, rng.integers(n)] = 0
+    F = field_make(p)
+    got, want = nullspace(F, A), two_echelon_nullspace(F, A)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want) and got.flags.c_contiguous
+
+
+def test_nullspace_runs_one_echelon(monkeypatch):
+    import chardeg.kernels as kernels
+
+    calls = []
+
+    def counting(A, p):
+        calls.append(A.shape)
+        return rref_prime(A, p)
+
+    monkeypatch.setattr(kernels, "rref_prime", counting)
+    A = np.asarray([[1, 2, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
+    assert nullspace(F3, A).tolist() == two_echelon_nullspace(F3, A).tolist() == [[1, 0, 1, 2], [0, 1, 2, 1]]
+    assert calls == [(2, 4)]

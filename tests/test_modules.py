@@ -11,7 +11,6 @@ from chardeg.groups import (
     FIELD_ORDER_CAP,
     _batch_mul,
     sl2_group,
-    subgroup_from_gens,
     sylow_char_subgroups,
 )
 from chardeg.kernels import rref_prime
@@ -39,6 +38,7 @@ from oracles import (
     is_irreducible,
     replay_image,
     replay_kernel,
+    subgroup_from_gens,
     trivial_subgroup,
     validate_homomorphism,
     whole_group,
@@ -621,21 +621,22 @@ def test_hom_space_dim_matches_kronecker_oracle(p):
 
 def _unit_closure(m):
     """The closure hom_space_dim solves on: the unit vectors spun by the
-    generators' column action, as (reduced basis, codes)."""
+    generators' column action, as (reduced basis, codes, recorded vectors)."""
     from chardeg.modules import _spin
 
     basis, rounds = _spin(m.field, identity_matrix(m.dim), [M.T for M in m.gen_images], m.dim)
-    return basis, np.concatenate([src + offset for offset, src in rounds])
+    return basis, np.concatenate([c for c, _ in rounds]), np.concatenate([v for _, v in rounds])
 
 
 def test_standard_basis_words_rebuild_the_basis(g5):
     """The closure's tree rebuilds a basis: each word is its parent imaged by
     its generator, the seeds are the first unit vectors outside the span so
-    far, taken in order, and the words are independent."""
+    far, taken in order, the words are independent, and they are the
+    vectors that _spin records."""
     nat = natural_restricted(5, g5)
     for m in (nat, _direct_sum(nat, nat), _direct_sum(trivial_module(g5, 5), nat), tensor(nat, nat)):
         d, g = m.dim, len(m.gen_images)
-        basis, codes = _unit_closure(m)
+        basis, codes, recorded = _unit_closure(m)
         assert basis.shape == (d, d) and codes.shape == (d,)
         unit = identity_matrix(d)
         words = np.zeros((d, d), dtype=np.int64)
@@ -651,6 +652,7 @@ def test_standard_basis_words_rebuild_the_basis(g5):
                     spanned = rref_prime(np.concatenate([words[:j], unit[v : v + 1]]), 5)[1].size == j
                     assert spanned == (v < u)
         assert rref_prime(words, 5)[1].size == d
+        assert np.array_equal(recorded, words)
         seeds = [-1 - c for c in codes.tolist() if c < 0]
         assert seeds == sorted(seeds)
     doubled = _unit_closure(_direct_sum(nat, nat))[1]
