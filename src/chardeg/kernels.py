@@ -2,9 +2,12 @@
 
 All kernels are vectorized numpy.  orbit_labels is the one orbit engine
 of the package: vector orbits, conjugacy classes and power-map cycles are
-all labelled through it.  orbit_stabilizers builds int32 key permutations
-from digit tables and reads every stabilizer off one walk of the group's
-BFS tree over them; bfs_levels is the one reading of that tree's levels.
+all labelled through it, in two alternating label buffers.
+orbit_stabilizers builds the int32 key permutations of the inverse
+generator images from digit tables, reads the orbit representatives and
+sizes off one bincount of their labels, and reads every stabilizer off one
+walk of the group's BFS tree over them; bfs_levels is the one reading of
+that tree's levels.
 rref_prime is the one echelon engine: linalg, the meataxe's spin and
 split, and the Hom solve all reduce through it, and the source rows it
 reports are how spin records which vectors joined its closure.  mul_mod
@@ -45,15 +48,25 @@ def orbit_labels(perms, n: int) -> np.ndarray:
 
     Each point repeatedly takes the least label among its own and its
     images' labels, and labels are shortcut through their own label
-    (pointer jumping) until nothing changes.  Returns int32 labels.
+    (pointer jumping), until a round changes no label.  The steps alternate
+    between two int32 buffers.  Labels only decrease, so a round changed
+    nothing exactly when their sum stayed the same.  Every index lies in
+    [0, n), so mode="clip" clips none; it spares np.take the buffered copy
+    of its output that mode="raise" makes.  Returns int32 labels; the
+    permutations are only read.
     """
     label = np.arange(n, dtype=np.int32)
+    spare = np.empty(n, dtype=np.int32)
+    total = int(label.sum(dtype=np.int64))
     while True:
-        prev = label.copy()
         for perm in perms:
-            np.minimum(label, label[perm], out=label)
-        label = label[label]
-        if np.array_equal(label, prev):
+            np.take(label, perm, out=spare, mode="clip")
+            np.minimum(label, spare, out=spare)
+            label, spare = spare, label
+        np.take(label, label, out=spare, mode="clip")
+        label, spare = spare, label
+        prev, total = total, int(label.sum(dtype=np.int64))
+        if total == prev:
             return label
 
 
@@ -112,30 +125,31 @@ def bfs_levels(parent: np.ndarray) -> list[tuple[int, int]]:
 
 
 def orbit_stabilizers(
-    gens: np.ndarray, r: int, dim: int, parent: np.ndarray, parent_gen: np.ndarray
+    inv_gens: np.ndarray, r: int, dim: int, parent: np.ndarray, parent_gen: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Orbits of F_r^dim under a group, with the stabilizer of each representative.
 
-    gens are the images of the group's generators, and the group's BFS tree
-    has element i = elems[parent[i]] @ gens[parent_gen[i]].  Returns (reps,
-    sizes, members): reps (int64) holds the least key of every orbit,
-    ascending; sizes (int64) the orbit cardinalities in that order; and
+    inv_gens are the inverses of the images of the group's generators, and
+    the group's BFS tree has element i = elems[parent[i]] @ gens[parent_gen[i]].
+    Returns (reps, sizes, members): reps (int64) holds the least key of every
+    orbit, ascending; sizes (int64) the orbit cardinalities in that order; and
     members, for every representative v, the ascending indices of the
     elements that fix it.
 
-    The key permutations are inverted in place, so perms[j] maps key(v) to
-    key(gens[j]^-1 v); they have the same orbits.  The walk
+    perms[j] maps key(v) to key(gens[j]^-1 v), and the inverses have the
+    same orbits as the generators.  Every point labels its orbit's least
+    member, so the representatives are the keys that some point labels, and
+    one bincount of the labels gives them and their sizes.  The walk
     K[i] = perms[parent_gen[i]][K[parent[i]]], one BFS level at a time over a
     block of representatives, gives the key of g_i^-1 v, and g_i fixes v
     exactly when K[i] == v.
     """
     nvec = r**dim
-    perms = _key_perms(gens, r, dim)
-    points = np.arange(nvec, dtype=np.int32)
-    for perm in perms:
-        perm[perm.copy()] = points
-    del points
-    reps, sizes = _number_orbits(orbit_labels(perms, nvec))[1:]
+    perms = _key_perms(inv_gens, r, dim)
+    counts = np.bincount(orbit_labels(perms, nvec), minlength=nvec)
+    reps = np.flatnonzero(counts)
+    sizes = counts[reps]
+    del counts
     n = parent.size
     flat = perms.reshape(-1)
     offset = parent_gen.astype(np.int64) * nvec

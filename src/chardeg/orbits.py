@@ -1,11 +1,12 @@
 """Orbit decomposition and normal-Sylow covering classification.
 
 Vectors of a module over a prime field are packed into integers base r
-(digit 0 least significant).  One set of key permutations labels every
-vector and walks the group's BFS tree for the stabilizers; all per-orbit
-data (stabilizers, covering flags) is computed once on the minimal-key
-representative and propagated, since the defining conditions are
-conjugation-invariant.
+(digit 0 least significant).  One set of key permutations, those of the
+inverse generator images, labels every vector and walks the group's BFS
+tree for the stabilizers; all per-orbit data (stabilizers, covering flags)
+is computed once on the minimal-key representative and propagated, since
+the defining conditions are conjugation-invariant.  Orbits with the same
+stabilizer share one Subgroup and one set of covering flags.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from chardeg.fields import digits
 from chardeg.kernels import orbit_stabilizers
 from chardeg.groups import CapExceeded, GroupError, Subgroup, contains_normal_full_sylow
+from chardeg.linalg import mat_inv
 from chardeg.modules import GModule, ModuleError
 from chardeg.numtheory import is_prime
 
@@ -80,25 +82,27 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
     if r**m.dim > ORBIT_SPACE_CAP:
         raise CapExceeded(f"vector space of order {r}**{m.dim} exceeds {ORBIT_SPACE_CAP}")
     group = m.group
-    gens = np.stack(m.gen_images)
-    reps, sizes, members = orbit_stabilizers(gens, r, m.dim, group.parent, group.parent_gen)
+    inv_gens = np.stack([mat_inv(m.field, g) for g in m.gen_images])
+    reps, sizes, members = orbit_stabilizers(inv_gens, r, m.dim, group.parent, group.parent_gen)
     orbits = []
     nonzero_counts = {name: 0 for name in sylow_primes}
-    normal_sylow: dict = {}  # (stabilizer members, prime) -> flag: one test per distinct pair
+    # member bytes -> (stabilizer, flags): one Subgroup and one test per prime
+    # for each distinct stabilizer
+    distinct: dict[bytes, tuple[Subgroup, dict]] = {}
     vecs = digits(reps, r, m.dim).tolist()
     for rep_key, size, mem, vec in zip(reps.tolist(), sizes.tolist(), members, vecs):
-        stab = Subgroup(group, tuple(mem.tolist()))
+        key = mem.tobytes()
+        if key not in distinct:
+            stab = Subgroup(group, tuple(mem.tolist()))
+            flags = {name: contains_normal_full_sylow(group, stab, prime) for name, prime in sylow_primes.items()}
+            distinct[key] = stab, flags
+        stab, flags = distinct[key]
         if stab.order * size != group.order:
             raise GroupError("orbit-stabilizer identity failed")
-        flags = {}
-        for name, prime in sylow_primes.items():
-            key = (stab.members, prime)
-            if key not in normal_sylow:
-                normal_sylow[key] = contains_normal_full_sylow(group, stab, prime)
-            flags[name] = normal_sylow[key]
-            if flags[name] and rep_key != 0:
+        for name, flag in flags.items():
+            if flag and rep_key != 0:
                 nonzero_counts[name] += size
-        orbits.append(Orbit(rep_key, tuple(vec), size, stab.order, flags, stab))
+        orbits.append(Orbit(rep_key, tuple(vec), size, stab.order, dict(flags), stab))
     summary: dict = {"orbit_count": len(orbits), "sizes": sorted(s for s in sizes.tolist())}
     if sylow_primes:
         total_nonzero = r**m.dim - 1

@@ -1,11 +1,12 @@
 """Test-only helpers: the generator-word replay oracle, the set-based subgroup
-closure and small conveniences that no library code needs."""
+closure, the forward-then-invert orbit stabilizers and small conveniences
+that no library code needs."""
 
 import numpy as np
 
 from chardeg.groups import GroupTable, Subgroup, _batch_mul
 from chardeg.fields import Field
-from chardeg.kernels import mul_mod, rref_prime
+from chardeg.kernels import _key_perms, _number_orbits, bfs_levels, mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import identity_matrix
 from chardeg.modules import GModule, _meataxe_step
 
@@ -75,6 +76,37 @@ def greedy_generators(sub: Subgroup) -> tuple[int, ...]:
         if len(have) == sub.order:
             break
     return tuple(chosen)
+
+
+def orbit_stabilizers_by_inversion(gens, r: int, dim: int, parent, parent_gen):
+    """kernels.orbit_stabilizers from the forward generator images: their key
+    permutations are inverted in place, orbits are numbered by a cumulative
+    sum over the representatives, and the stabilizer walk reads the inverted
+    permutations; returns the same (reps, sizes, members)."""
+    nvec = r**dim
+    perms = _key_perms(gens, r, dim)
+    points = np.arange(nvec, dtype=np.int32)
+    for perm in perms:
+        perm[perm.copy()] = points
+    reps, sizes = _number_orbits(orbit_labels(perms, nvec))[1:]
+    flat = perms.reshape(-1)
+    offset = parent_gen.astype(np.int64) * nvec
+    members = []
+    for v in reps.astype(np.int32):
+        keys = np.empty(parent.size, dtype=np.int32)
+        keys[0] = v
+        for lo, hi in bfs_levels(parent):
+            keys[lo:hi] = flat[offset[lo:hi] + keys[parent[lo:hi]]]
+        members.append(np.flatnonzero(keys == v))
+    return reps, sizes, members
+
+
+def same_orbit_stabilizers(got, want) -> bool:
+    """Whether two (reps, sizes, members) results agree in dtype and bytes."""
+    arrays = list(zip(got[:2], want[:2])) + list(zip(got[2], want[2]))
+    return len(got[2]) == len(want[2]) and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in arrays
+    )
 
 
 def two_echelon_nullspace(F: Field, A) -> np.ndarray:

@@ -12,6 +12,7 @@ from chardeg.fields import FieldError, field_make
 from chardeg.groups import sl2_group
 from chardeg.linalg import mat_inv
 from chardeg.modules import LINE_ENUM_LIMIT, _kernel_lines, _spin, perm_module, spin
+from oracles import orbit_stabilizers_by_inversion, same_orbit_stabilizers
 
 
 def _random_invertible(rng, F, n):
@@ -105,7 +106,8 @@ def _orbit_sweep(gens, r, dim):
     """(reps, sizes) of orbit_stabilizers over a one-node tree: the orbits of
     the whole space, with no stabilizer walk."""
     root = np.array([-1], dtype=np.int64)
-    reps, sizes, members = kernels.orbit_stabilizers(gens, r, dim, root, root)
+    inv_gens = np.stack([mat_inv(field_make(r), g) for g in gens])
+    reps, sizes, members = kernels.orbit_stabilizers(inv_gens, r, dim, root, root)
     assert all(mem.tolist() == [0] for mem in members)
     return reps, sizes
 
@@ -337,11 +339,19 @@ def test_orbit_sweep_matches_per_orbit_bfs(q, r):
 )
 @example((5, []))
 @example((0, []))
+@example((3, [[1, 2, 0]]))
+@example((4, [[1, 0, 2, 3], [0, 1, 3, 2]]))
+@example((6, [[1, 0, 2, 3, 4, 5], [0, 2, 1, 3, 4, 5], [0, 1, 2, 4, 5, 3]]))
 def test_orbit_labels_match_union_find(case):
+    # 0 to 4 permutations: the two label buffers swap once per permutation and
+    # once per pointer jump, so the result ends in either buffer
     n, perms = case
-    got = kernels.orbit_labels([np.asarray(p, dtype=np.int64) for p in perms], n)
+    arrays = [np.asarray(p, dtype=np.int64) for p in perms]
+    got = kernels.orbit_labels(arrays, n)
     assert got.dtype == np.int32
     assert got.tolist() == _union_find_least(perms, n)
+    # the caller's permutations are left as they were
+    assert [a.tolist() for a in arrays] == [list(p) for p in perms]
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 7])
@@ -353,6 +363,48 @@ def test_key_perms_match_digit_products(r):
     # two high digits; for r > 2 their sizes are not multiples of SWEEP_CHUNK
     for dim in (k - 1, k + 1, k + 2):
         _assert_key_perms_match(rng.integers(0, r, size=(2, dim, dim)), r, dim)
+
+
+def _closure_tree(gens, r):
+    """BFS closure of the identity under right multiplication by the
+    generators, in (element, generator) order: (parent, parent_gen), with
+    element i = element parent[i] @ gens[parent_gen[i]]."""
+    dim = gens.shape[1]
+    elems = [np.eye(dim, dtype=np.int64)]
+    seen = {elems[0].tobytes()}
+    parent, parent_gen = [-1], [-1]
+    i = 0
+    while i < len(elems):
+        for j, g in enumerate(gens):
+            x = elems[i] @ g % r
+            if x.tobytes() not in seen:
+                seen.add(x.tobytes())
+                elems.append(x)
+                parent.append(i)
+                parent_gen.append(j)
+        i += 1
+    return np.asarray(parent, dtype=np.int64), np.asarray(parent_gen, dtype=np.int64)
+
+
+@pytest.mark.parametrize("r,dim", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_orbit_stabilizers_match_forward_then_invert_oracle(r, dim):
+    """Random invertible generator sets, with a generator of order > 2: the
+    kernel fed their inverses matches the in-place inversion of the forward
+    permutations byte for byte, and the orbit-stabilizer identity holds."""
+    rng = np.random.default_rng(100 + r)
+    F = field_make(r)
+    ident = np.eye(dim, dtype=np.int64)
+    for ngens in (1, 2, 3):
+        while True:
+            gens = np.stack([_random_invertible(rng, F, dim) for _ in range(ngens)])
+            if any((g @ g % r != ident).any() for g in gens):
+                break
+        parent, parent_gen = _closure_tree(gens, r)
+        inv_gens = np.stack([mat_inv(F, g) for g in gens])
+        got = kernels.orbit_stabilizers(inv_gens, r, dim, parent, parent_gen)
+        want = orbit_stabilizers_by_inversion(gens, r, dim, parent, parent_gen)
+        assert same_orbit_stabilizers(got, want)
+        assert all(size * mem.size == parent.size for size, mem in zip(got[1].tolist(), got[2]))
 
 
 def test_key_perms_match_digit_products_on_3_12():

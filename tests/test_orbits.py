@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from chardeg import kernels
 from chardeg.groups import sl2_group
+from chardeg.linalg import mat_inv
 from chardeg.modules import (
     GModule,
     dual,
@@ -20,7 +23,7 @@ from chardeg.orbits import (
     sylow_centralizer_condition,
     unpack_key,
 )
-from oracles import whole_group
+from oracles import orbit_stabilizers_by_inversion, same_orbit_stabilizers, whole_group
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,8 @@ def test_each_stabilizer_and_prime_is_tested_once(g5, monkeypatch):
     rep = covering_classify(perm_module(g5, "projective-points", 3), r=None, s=3)
     pairs = {(o.stab.members, p) for o in rep.orbits for p in (3, 5)}
     assert len(rep.orbits) > len({o.stab.members for o in rep.orbits})
+    # one Subgroup object per distinct stabilizer
+    assert len({id(o.stab) for o in rep.orbits}) == len({o.stab.members for o in rep.orbits})
     assert sorted(calls) == sorted(pairs)
     for o in rep.orbits:
         assert o.flags == {"plus": real(g5, o.stab, 3), "char": real(g5, o.stab, 5)}
@@ -178,10 +183,12 @@ def test_perm_module_orbits_match_action(g5):
 
 def _monomial_p11():
     """SL2(11) on F3^12 in the basis f_j = s_j e_perm(j); s_j in {1, 2} is
-    its own inverse mod 3."""
+    its own inverse mod 3.  perm is not an involution, so neither is the
+    conjugating matrix."""
     rng = np.random.default_rng(12)
     m = perm_module(sl2_group(11), "projective-points", 3)
     perm, s = rng.permutation(12), rng.integers(1, 3, 12)
+    assert (perm[perm] != np.arange(12)).any()
     images = [(s[:, None] * g[np.ix_(perm, perm)] * s[None, :]) % 3 for g in m.gen_images]
     return GModule(m.group, m.field, images, check=False)
 
@@ -202,8 +209,8 @@ def test_orbit_stabilizers_match_image_table(label):
     and the orbits against the image table's orbits of the representatives."""
     m = STABILIZER_ORACLE_MODULES[label]()
     group = m.group
-    gens = np.stack(m.gen_images)
-    reps, sizes, members = kernels.orbit_stabilizers(gens, m.field.p, m.dim, group.parent, group.parent_gen)
+    inv_gens = np.stack([mat_inv(m.field, g) for g in m.gen_images])
+    reps, sizes, members = kernels.orbit_stabilizers(inv_gens, m.field.p, m.dim, group.parent, group.parent_gen)
     assert reps.dtype == sizes.dtype == np.int64
     # each rep is the least key of its orbit, so distinct reps lie in distinct
     # orbits, and the sizes summing to the space leaves no orbit out
@@ -222,6 +229,33 @@ def test_orbit_stabilizers_match_image_table(label):
         ref = stabilizer(m, unpack_key(key, m.field.p, m.dim)).members
         assert tuple(mem.tolist()) == ref
         assert orb.stab.members == ref and orb.stab_order == len(ref)
+
+
+def test_orbit_stabilizers_match_forward_then_invert_oracle():
+    """The kernel fed the inverse generator images gives the bytes of the
+    forward images' permutations inverted in place; fed the forward images
+    of generators that are not involutions, it does not."""
+    m = _monomial_p11()
+    group = m.group
+    tree = (group.parent, group.parent_gen)
+    assert all((kernels.mul_mod(g, g, 3) != np.eye(m.dim, dtype=np.int64)).any() for g in m.gen_images)
+    gens = np.stack(m.gen_images)
+    inv_gens = np.stack([mat_inv(m.field, g) for g in m.gen_images])
+    want = orbit_stabilizers_by_inversion(gens, 3, m.dim, *tree)
+    assert same_orbit_stabilizers(kernels.orbit_stabilizers(inv_gens, 3, m.dim, *tree), want)
+    forward = kernels.orbit_stabilizers(gens, 3, m.dim, *tree)[2]
+    assert any(not np.array_equal(a, b) for a, b in zip(forward, want[2]))
+
+
+COVERING_P11_SHA256 = "d58a549a22c4ac2f80b76a120d36b5d93f2e802a7a49e267081134b8dd2b45fa"
+
+
+def test_covering_classify_p11_bytes_are_pinned():
+    """Orbit representatives, stabilizer orders, the minus/plus/char flags
+    and the covering summary of SL2(11) on F3^12, byte for byte."""
+    report = covering_classify(_monomial_p11(), r=5, s=3)
+    data = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == COVERING_P11_SHA256
 
 
 def test_orbit_stabilizer_stays_out_of_json_repr_and_equality(g5):
