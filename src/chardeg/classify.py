@@ -144,14 +144,8 @@ CASE_BARE = "bare"
 CASE_NATURAL = "natural"
 CASE_SIX_DIM = "six_dim_f3"
 
-_CASE_ALIASES = {
-    "a": CASE_BARE,
-    "b": CASE_NATURAL,
-    "c": CASE_SIX_DIM,
-    CASE_BARE: CASE_BARE,
-    CASE_NATURAL: CASE_NATURAL,
-    CASE_SIX_DIM: CASE_SIX_DIM,
-}
+#: the case letters, resolved onto their tags when a GroupDescriptor is built
+CASE_LETTERS = {"a": CASE_BARE, "b": CASE_NATURAL, "c": CASE_SIX_DIM}
 
 
 @dataclass(frozen=True)
@@ -160,7 +154,8 @@ class GroupDescriptor:
 
     case_tag: 'bare' (the perfect part is the simple group or its double
     cover), 'natural' (extension by the standard module), or
-    'six_dim_f3' (the q=13 extension by a 6-dimensional F3 module).
+    'six_dim_f3' (the q=13 extension by a 6-dimensional F3 module).  A
+    letter of CASE_LETTERS is stored as its tag; any other tag is refused.
     """
 
     case_tag: str
@@ -170,15 +165,11 @@ class GroupDescriptor:
     outer: frozenset[int] = frozenset()
     t_divides_outer: bool = False
 
-    def normalized(self) -> GroupDescriptor:
-        tag = _CASE_ALIASES.get(self.case_tag)
-        if tag is None:
+    def __post_init__(self):
+        tag = CASE_LETTERS.get(self.case_tag, self.case_tag)
+        if tag not in CASE_LETTERS.values():
             raise ClassifyError(f"unknown case tag {self.case_tag!r}")
-        if tag != self.case_tag:
-            return GroupDescriptor(
-                tag, self.q, self.cut_prime, self.vgk, self.outer, self.t_divides_outer
-            )
-        return self
+        object.__setattr__(self, "case_tag", tag)
 
 
 @dataclass(frozen=True)
@@ -187,7 +178,11 @@ class TheoremReport:
     graph: PrimeGraph
     analysis: GraphAnalysis
     clauses: tuple[tuple[str, bool], ...]
-    violations: tuple[str, ...]
+
+    @property
+    def violations(self) -> tuple[str, ...]:
+        """The names of the false clauses."""
+        return tuple(name for name, holds in self.clauses if not holds)
 
     @property
     def ok(self) -> bool:
@@ -217,10 +212,8 @@ def predicted_cut_vertex_graph(d: GroupDescriptor) -> TheoremReport:
     characteristic t, with t pendant on the cut prime.  The q=13 module
     case: the fixed four-vertex graph with 2 complete and the edge 7-13.
     """
-    d = d.normalized()
     t, _ = prime_power_split(d.q)
     p = d.cut_prime
-    violations: list[str] = []
     if p == t:
         raise ClassifyError("the cut prime must differ from the defining characteristic")
     if d.t_divides_outer or t in d.outer:
@@ -257,10 +250,7 @@ def predicted_cut_vertex_graph(d: GroupDescriptor) -> TheoremReport:
     else:
         nbr_ok = nbrs == {p}
         clauses.append(("the cut prime is the unique neighbor of t", nbr_ok))
-    for name, val in clauses:
-        if not val:
-            violations.append(name)
-    return TheoremReport(d, graph, analysis, tuple(clauses), tuple(violations))
+    return TheoremReport(d, graph, analysis, tuple(clauses))
 
 
 # -- the two-component criterion --------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import sys
 
 from chardeg.classify import (
+    CASE_LETTERS,
     ClassifyError,
     GroupDescriptor,
     inequality_ledger,
@@ -35,7 +36,7 @@ from chardeg.modules import (
 )
 from chardeg.numtheory import factorize, is_prime
 from chardeg.orbits import covering_classify, orbit_decompose
-from chardeg.verify import SUITES, report_json, run_checks
+from chardeg.verify import SUITES, Harness, report_json, run_checks
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
@@ -144,7 +145,7 @@ def _cmd_extension(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(args.suite, seed=args.seed)
+    results = run_checks(args.suite, Harness(args.seed))
     payload = report_json(results)
     for r in sorted(results, key=lambda r: r.name):
         line = f"[{r.status.upper():5s}] {r.suite}/{r.name} ({r.elapsed:.1f}s)"
@@ -255,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="orbit decomposition and covering flags")
     p.add_argument("action", choices=["decompose", "classify"])
     p.add_argument("--module", required=True, help="module JSON file")
-    p.add_argument("--group", type=_group, help="optional sl2:q spec overriding the stored group")
+    p.add_argument("--group", type=_group, help="optional sl2:q spec, which must match the module's stored group")
     p.add_argument("--r", type=_prime, help="odd prime dividing q-1")
     p.add_argument("--s", type=_prime, help="odd prime dividing q+1")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser("classify", help="predicted cut-vertex graphs and ledgers")
-    p.add_argument("--case", choices=["a", "b", "c", "bare", "natural", "six_dim_f3"])
+    p.add_argument("--case", choices=[*CASE_LETTERS, *CASE_LETTERS.values()])
     p.add_argument("--q", type=_prime_power)
     p.add_argument("--p", type=_prime, help="the cut prime")
     p.add_argument("--vgk", type=_primes, help="comma-separated outer degree primes")

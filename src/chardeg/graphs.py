@@ -187,13 +187,11 @@ def degree_set(family: str, q: int) -> DegreeSet:
     if q % 2 == 0:
         # all three families coincide in even characteristic
         mult = {1: 1, q: 1, q + 1: (q - 2) // 2, q - 1: q // 2}
-        expected = q * (q * q - 1)
     elif family == "psl2":
         if q % 4 == 1:
             mult = {1: 1, q: 1, (q + 1) // 2: 2, q + 1: (q - 5) // 4, q - 1: (q - 1) // 4}
         else:
             mult = {1: 1, q: 1, (q - 1) // 2: 2, q + 1: (q - 3) // 4, q - 1: (q - 3) // 4}
-        expected = q * (q * q - 1) // 2
     elif family == "sl2":
         mult = {
             1: 1,
@@ -203,10 +201,10 @@ def degree_set(family: str, q: int) -> DegreeSet:
             q + 1: (q - 3) // 2,
             q - 1: (q - 1) // 2,
         }
-        expected = q * (q * q - 1)
     else:  # pgl2, q odd
         mult = {1: 2, q: 2, q + 1: (q - 3) // 2, q - 1: (q - 1) // 2}
-        expected = q * (q * q - 1)
+    # PSL2(q) with q odd is SL2(q) over its center of order 2
+    expected = q * (q * q - 1) // (2 if family == "psl2" and q % 2 else 1)
     ds = DegreeSet.from_multiplicities(mult)
     if ds.sum_of_squares() != expected:
         raise DegreeSetError(

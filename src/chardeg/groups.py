@@ -8,8 +8,12 @@ generators extends to the elements by walking that tree.  Element
 arithmetic is batched: products and inverses of matrix stacks
 (_batch_mul, _batch_inv_det1, _powers), and one dense index over all q^4
 matrix keys that maps a stack of matrices back to element positions in
-one gather; it bounds the field order by FIELD_ORDER_CAP.  Element orders
-are computed once per trace value.  A subgroup's generating set is read
+one gather; it bounds the field order by FIELD_ORDER_CAP, well under the
+fields' TABLE_LIMIT.  So inverses negate through the field's negation
+table and traces are read off its addition table, over every field; only
+products over a prime field take the exact int64 matmul.  Element orders
+are computed once per trace value, and the Sylow t-subgroups once per
+group, by GroupTable.sylow_map.  A subgroup's generating set is read
 off kernels.orbit_labels: the subgroup that some members generate is the
 orbit of the identity under right multiplication by them.
 """
@@ -60,17 +64,14 @@ def _batch_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _batch_inv_det1(F: Field, A: np.ndarray) -> np.ndarray:
-    """Inverse of stacks of 2x2 matrices of determinant 1 (adjugate)."""
-    neg = F.tables[2] if not F.is_prime_field else None
+    """Inverse of stacks of 2x2 matrices of determinant 1: the adjugate, its
+    off-diagonal entries negated through the field's negation table."""
+    neg = F.tables[2]
     out = np.empty_like(A)
     out[..., 0, 0] = A[..., 1, 1]
     out[..., 1, 1] = A[..., 0, 0]
-    if F.is_prime_field:
-        out[..., 0, 1] = (-A[..., 0, 1]) % F.p
-        out[..., 1, 0] = (-A[..., 1, 0]) % F.p
-    else:
-        out[..., 0, 1] = neg[A[..., 0, 1]]
-        out[..., 1, 0] = neg[A[..., 1, 0]]
+    out[..., 0, 1] = neg[A[..., 0, 1]]
+    out[..., 1, 0] = neg[A[..., 1, 0]]
     return out
 
 
@@ -175,7 +176,7 @@ class GroupTable:
         F = self.field
         e = self.elems
         a, d = e[:, 0, 0], e[:, 1, 1]
-        trace = (a + d) % F.p if F.is_prime_field else F.tables[0][a, d]
+        trace = F.tables[0][a, d]
         scalar = (e[:, 0, 1] == 0) & (e[:, 1, 0] == 0) & (a == d)
         label = np.where(scalar, F.order + (a != 1), trace)
         _, reps, inverse = np.unique(label, return_index=True, return_inverse=True)
@@ -352,16 +353,14 @@ def sylow_char_subgroups(group: GroupTable) -> list[Subgroup]:
     return [Subgroup(group, (0, *t_elems[point_of == j].tolist())) for j in range(len(points))]
 
 
-def count_normalized_sylow(group: GroupTable, r_subs: list[Subgroup], t: int) -> np.ndarray:
+def count_normalized_sylow(group: GroupTable, r_subs: list[Subgroup]) -> np.ndarray:
     """For each subgroup of r_subs, the number of Sylow t-subgroups whose
-    normalizer contains it.
+    normalizer contains it, t the field characteristic.
 
     Conjugation permutes the Sylow subgroups, so T^g = T exactly when one
     nontrivial member of T lands back inside T.  One batched conjugation
     takes every Sylow probe through every generator of every subgroup.
     """
-    if t != group.field.p:
-        raise GroupError("t must be the defining characteristic")
     for order in {s.order for s in r_subs}:
         if order == 1:
             raise GroupError("r_sub must be nontrivial")

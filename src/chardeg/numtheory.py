@@ -93,20 +93,6 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    """Order of a modulo prime p, for p not dividing a."""
-    if a % p == 0:
-        raise ValueError("a divisible by p")
-    order = p - 1
-    for q, e in factorize(p - 1).items():
-        for _ in range(e):
-            if pow(a, order // q, p) == 1:
-                order //= q
-            else:
-                break
-    return order
-
-
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = t**a with t prime; raise if q is not a prime power."""
     if q < 2:

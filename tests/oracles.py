@@ -1,6 +1,6 @@
 """Test-only helpers: the generator-word replay oracle, the set-based subgroup
-closure, the forward-then-invert orbit stabilizers and small conveniences
-that no library code needs."""
+closure, the forward-then-invert orbit stabilizers, the multiplicative order
+and small conveniences that no library code needs."""
 
 import numpy as np
 
@@ -9,6 +9,7 @@ from chardeg.fields import Field
 from chardeg.kernels import _key_perms, _number_orbits, bfs_levels, mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import identity_matrix
 from chardeg.modules import GModule, _meataxe_step
+from chardeg.numtheory import factorize
 
 
 def digit_loop(n: int, base: int, width: int) -> list[int]:
@@ -18,6 +19,20 @@ def digit_loop(n: int, base: int, width: int) -> list[int]:
         out.append(n % base)
         n //= base
     return out
+
+
+def multiplicative_order(a: int, p: int) -> int:
+    """Order of a modulo prime p, for p not dividing a."""
+    if a % p == 0:
+        raise ValueError("a divisible by p")
+    order = p - 1
+    for q, e in factorize(p - 1).items():
+        for _ in range(e):
+            if pow(a, order // q, p) == 1:
+                order //= q
+            else:
+                break
+    return order
 
 
 def word(group: GroupTable, i: int) -> tuple[int, ...]:

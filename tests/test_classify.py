@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from math import isqrt
 
@@ -8,6 +9,8 @@ from mpmath import mp
 from chardeg import verify
 
 from chardeg.classify import (
+    CASE_BARE,
+    CASE_LETTERS,
     CASE_SIX_DIM,
     ClassifyError,
     GroupDescriptor,
@@ -29,13 +32,12 @@ from chardeg.modules import dual, irreducible_catalog, natural_restricted
 from chardeg.numtheory import (
     factorize,
     is_prime,
-    multiplicative_order,
     prime_divisors,
     prime_power_split,
     prime_powers,
 )
 from chardeg.orbits import orbit_decompose
-from oracles import is_irreducible, subgroup_from_gens, whole_group
+from oracles import is_irreducible, multiplicative_order, subgroup_from_gens, whole_group
 
 mp.dps = 80
 
@@ -371,6 +373,24 @@ def test_predicted_graph_case_b():
     rep = predicted_cut_vertex_graph(GroupDescriptor("b", 7, 5, vgk=frozenset({5})))
     assert rep.ok
     assert rep.graph.neighbors(7) == {5}
+
+
+def test_case_letters_resolve_at_construction():
+    """A case letter is stored as its tag, an unknown tag is refused when the
+    descriptor is built, and the violations are read off the false clauses."""
+    d = GroupDescriptor("a", 9, 7, vgk=frozenset({7}))
+    assert d.case_tag == CASE_BARE
+    assert d == GroupDescriptor(CASE_BARE, 9, 7, vgk=frozenset({7}))
+    assert [GroupDescriptor(c, 9, 7).case_tag for c in CASE_LETTERS] == list(CASE_LETTERS.values())
+    with pytest.raises(ClassifyError, match="unknown case tag 'z'"):
+        GroupDescriptor("z", 9, 7)
+    rep = predicted_cut_vertex_graph(d)
+    assert rep.violations == () and rep.ok
+    false = (rep.clauses[0], ("made false", False), *rep.clauses[1:], ("also false", False))
+    broken = dataclasses.replace(rep, clauses=false)
+    assert broken.violations == ("made false", "also false")
+    assert not broken.ok
+    assert broken.to_json()["violations"] == ["made false", "also false"]
 
 
 def test_predicted_graph_rejects_bad_descriptors():

@@ -391,13 +391,20 @@ def test_verify_isolates_a_degree_set_error(monkeypatch, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
 
 
-@pytest.mark.parametrize("error", ["FieldError", "ModuleError"])
+@pytest.mark.parametrize("error", ["FieldError", "ModuleError", "ZeroDivisionError", "ValueError"])
 def test_run_checks_isolates_field_and_module_errors(monkeypatch, error):
+    """Any exception other than an exhausted randomized budget ends its check
+    as error, the package's own errors and Python's alike."""
     import chardeg.verify as verify
     from chardeg.fields import FieldError
     from chardeg.modules import ModuleError
 
-    exc = {"FieldError": FieldError, "ModuleError": ModuleError}[error]
+    exc = {
+        "FieldError": FieldError,
+        "ModuleError": ModuleError,
+        "ZeroDivisionError": ZeroDivisionError,
+        "ValueError": ValueError,
+    }[error]
 
     def raising(h):
         raise exc("raised on purpose")
@@ -409,6 +416,38 @@ def test_run_checks_isolates_field_and_module_errors(monkeypatch, error):
     results = verify.run_checks("all")
     assert [(r.name, r.status) for r in results] == [("a-raises", "error"), ("b-passes", "pass")]
     assert results[0].observed == f"{error}: raised on purpose"
+
+
+def test_verify_isolates_an_error_outside_the_package(monkeypatch, tmp_path):
+    """A check that raises a ZeroDivisionError ends as error; the run goes on,
+    writes its report and exits 1."""
+    import chardeg.verify as verify
+
+    def raising(family, q):
+        return 1 // 0
+
+    monkeypatch.setattr(verify, "degree_set", raising)
+    keep = ("degree-square-identity", "graph-analyzer-oracle")
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[0] in keep))
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "graphs", "--out", str(out_file)]) == 1
+    report = json.loads(out_file.read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["degree-square-identity"]["status"] == "error"
+    assert by_name["degree-square-identity"]["observed"] == "ZeroDivisionError: integer division or modulo by zero"
+    assert by_name["graph-analyzer-oracle"]["status"] == "pass"
+    assert (report["passed"], report["failed"], report["inconclusive"]) == (1, 1, 0)
+
+
+def test_run_checks_runs_at_the_harness_seed(monkeypatch):
+    """The harness carries the seed: there is no second seed to ignore."""
+    import chardeg.verify as verify
+
+    monkeypatch.setattr(verify, "CHECKS", (("seed", "ledgers", lambda h: (7, h.seed)),))
+    assert [r.status for r in verify.run_checks("ledgers", verify.Harness(7))] == ["pass"]
+    assert [r.observed for r in verify.run_checks("all")] == [42]
+    with pytest.raises(TypeError):
+        verify.run_checks("all", seed=7)
 
 
 def test_verify_spent_chop_budget_is_inconclusive(monkeypatch, tmp_path):

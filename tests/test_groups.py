@@ -85,6 +85,14 @@ def test_inverse_table(g7):
     assert np.array_equal(inverse[inverse], np.arange(g7.order))
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 13, 27, 49])
+def test_batch_inverses_of_every_element(q):
+    """The adjugate negated through the field table, over prime and extension fields."""
+    g = sl2_group(q)
+    prods = _batch_mul(g.field, g.elems, _batch_inv_det1(g.field, g.elems))
+    assert (prods == np.eye(2, dtype=np.int64)).all()
+
+
 @pytest.mark.parametrize("q", [4, 5, 9])
 def test_powers_match_repeated_products(q):
     g = sl2_group(q)
@@ -123,7 +131,7 @@ def _orders_by_powering(g):
     return orders
 
 
-@pytest.mark.parametrize("q", (4, 8, 9, 16, 25, 27))
+@pytest.mark.parametrize("q", (4, 5, 7, 8, 9, 13, 16, 25, 27))
 def test_element_orders_match_powering_oracle(q):
     g = sl2_group(q)
     assert g.element_orders.dtype == np.int64
@@ -172,12 +180,33 @@ def test_normalizer_of_char_sylow(g7):
     assert contains_normal_full_sylow(g7, N, 7)
 
 
+def test_sylow_normalizer_check_builds_one_sylow_list_per_group(monkeypatch):
+    """sylow-normalizer-counts reads each group's cached Sylow list: one
+    sylow_char_subgroups call per q, wherever the package holds that name."""
+    import sys
+
+    from chardeg import verify
+
+    calls = []
+
+    def counting(group):
+        calls.append(group.field.order)
+        return sylow_char_subgroups(group)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("chardeg")]:
+        if hasattr(module, "sylow_char_subgroups"):
+            monkeypatch.setattr(module, "sylow_char_subgroups", counting)
+    expected, observed = verify.check_two_sylow_normalizers(verify.Harness())
+    assert observed == expected
+    assert sorted(calls) == sorted(q for q, _ in verify.TWO_SYLOW_PAIRS)
+
+
 def test_count_normalized_sylow_examples(g7):
     orders = g7.element_orders
     r_elt = int(np.flatnonzero(orders == 3)[0])
     r_sub = subgroup_from_gens(g7, [r_elt])
     assert r_sub.order == 3
-    assert count_normalized_sylow(g7, [r_sub], 7).tolist() == [2]
+    assert count_normalized_sylow(g7, [r_sub]).tolist() == [2]
 
 
 def test_contains_normal_full_sylow_negative(g7):
@@ -352,7 +381,6 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
     the Sylow r-subgroup of one element of full r-part order (cyclic, as the
     odd r divides q - 1 only), against conjugating one probe at a time."""
     g = sl2_group(q)
-    t = g.field.p
     sylows = sylow_char_subgroups(g)
     owner = {m: i for i, T in enumerate(sylows) for m in T.members if m != 0}
     orders = g.element_orders
@@ -371,11 +399,11 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
         )
         for sub in subs
     ]
-    assert count_normalized_sylow(g, subs, t).tolist() == expected
-    assert count_normalized_sylow(g, subs[-1:], t).tolist() == expected[-1:]
-    assert count_normalized_sylow(g, [], t).tolist() == []
+    assert count_normalized_sylow(g, subs).tolist() == expected
+    assert count_normalized_sylow(g, subs[-1:]).tolist() == expected[-1:]
+    assert count_normalized_sylow(g, []).tolist() == []
     with pytest.raises(GroupError, match="r-group"):
-        count_normalized_sylow(g, [subs[0], subgroup_from_gens(g, [x, *sylows[0].members[1:2]])], t)
+        count_normalized_sylow(g, [subs[0], subgroup_from_gens(g, [x, *sylows[0].members[1:2]])])
 
 
 def _sylow_buckets_per_element(g):

@@ -3,12 +3,12 @@ import pytest
 from chardeg.numtheory import (
     factorize,
     is_prime,
-    multiplicative_order,
     p_part,
     prime_divisors,
     prime_power_split,
     prime_powers,
 )
+from oracles import multiplicative_order
 
 
 def test_is_prime_small():
