@@ -6,7 +6,10 @@ The degrees of split extensions read the stabilizer degrees, which are
 computed exactly by Dixon's class-matrix method over F_p, with no table.
 
 All scans run on exact integers; inequalities with half-integer
-exponents are decided by comparing squares, never by floating point.
+exponents are decided by comparing squares, never by floating point.  The
+ledger families are listed once: the covering scans in COVERING_FAMILIES,
+with their thresholds and dimension patterns, and the F2 fixed-point scans
+in F2_FAMILIES, with their element orders.
 """
 
 from __future__ import annotations
@@ -367,29 +370,22 @@ def primitive_prime_divisor(a: int, n: int) -> int | None:
 
 # -- inequality ledgers --------------------------------------------------------------
 
-#: named dimension-pattern families for the crossed-module covering scans;
-#: each entry gives (dim exponent, conjugate-count coefficients) as
-#: functions of (q_power, ell) -- see _family_terms
-LEDGER_FAMILIES = (
-    "dim-l-q",
-    "dim-l-q-plus-1",
-    "dim-l-q-plus-1-half",
-    "dim-l-q-minus-1",
-    "dim-l-q-minus-1-half",
-    "f2-order3",
-    "f2-order5",
-    "f2-ell2",
-)
-
-#: scan thresholds: past these the reduced inequality holds for ell = 1
-#: and therefore for every ell
-FAMILY_THRESHOLDS = {
-    "dim-l-q": 17,
-    "dim-l-q-plus-1": 16,
-    "dim-l-q-plus-1-half": 43,
-    "dim-l-q-minus-1": 19,
-    "dim-l-q-minus-1-half": 47,
+#: the covering-scan families, each ledger dimension ell * d0 for d0 one of
+#: qp, qp + 1 and qp - 1, maybe halved: name -> (threshold, d0 - qp, halved,
+#: tail exponent per ell).  Past its threshold a family's reduced inequality
+#: holds for ell = 1 and therefore for every ell.  See _covering_inequality_holds.
+COVERING_FAMILIES = {
+    "dim-l-q": (17, 0, False, 1),
+    "dim-l-q-plus-1": (16, 1, False, 2),
+    "dim-l-q-plus-1-half": (43, 1, True, 1),
+    "dim-l-q-minus-1": (19, -1, False, 0),
+    "dim-l-q-minus-1-half": (47, -1, True, 0),
 }
+
+#: the F2 fixed-point families: name -> the element orders r scanned
+F2_FAMILIES = {"f2-order3": (3,), "f2-order5": (5,), "f2-ell2": (3, 5)}
+
+LEDGER_FAMILIES = (*COVERING_FAMILIES, *F2_FAMILIES)
 
 
 def _strict_greater_with_sqrt(lhs: int, coeff: int, exp2: int, base: int) -> bool:
@@ -405,67 +401,40 @@ def _strict_greater_with_sqrt(lhs: int, coeff: int, exp2: int, base: int) -> boo
 
 
 def _covering_inequality_holds(family: str, qp: int, ell: int, q: int) -> bool:
-    """The covering-count inequality for one (prime q, q-power, ell)."""
-    half = qp * (qp + 1) // 2
-    if family == "dim-l-q":
-        dim, c1, c2e, c2 = ell * qp, half, ell, qp + 1
-    elif family == "dim-l-q-plus-1":
-        dim, c1, c2e, c2 = ell * (qp + 1), half, 2 * ell, qp + 1
-    elif family == "dim-l-q-plus-1-half":
-        dim, c1, c2e, c2 = ell * (qp + 1) // 2, half, ell, qp + 1
-    elif family == "dim-l-q-minus-1":
-        dim, c1, c2e, c2 = ell * (qp - 1), qp * qp, 0, 0
-    elif family == "dim-l-q-minus-1-half":
-        dim, c1, c2e, c2 = ell * (qp - 1) // 2, qp * qp, 0, 0
-    else:
-        raise ClassifyError(f"unknown family {family!r}")
-    lhs = q**dim - 1
-    tail = c2 * (q**c2e - 1) if c2 else 0
-    # lhs > c1 * (q**(dim/2) - 1) + tail
-    return _strict_greater_with_sqrt(lhs - tail + c1, c1, dim, q)
-
-
-def _order_r_bound(qp: int, d_pattern: str, r: int, ell: int) -> int | None:
-    """Max fixed-space dimension of an order-r element, from the lift tables."""
-    if qp % r == 1:
-        table = {
-            "minus": (qp - 1) // r,
-            "minus-half": (qp - 1) // (2 * r),
-            "plus": (qp + 2 * r - 1) // r,
-        }
-    elif qp % r == r - 1:
-        table = {
-            "minus": (qp + 1) // r,
-            "minus-half": (qp + 1 - 2 * r) // (2 * r),
-            "plus": (qp + 1) // r,
-        }
-    else:
-        return None
-    return ell * table[d_pattern]
+    """The covering-count inequality for one (prime q, q-power, ell):
+    q^dim - 1 > c1 (q^(dim/2) - 1) + (qp + 1)(q^(e ell) - 1), e the family's
+    tail exponent.  The qp - 1 families count c1 = qp^2 conjugates, the
+    others qp (qp + 1) / 2."""
+    _, shift, halved, e = COVERING_FAMILIES[family]
+    dim = ell * (qp + shift) // 2 if halved else ell * (qp + shift)
+    c1 = qp * qp if shift < 0 else qp * (qp + 1) // 2
+    tail = (qp + 1) * (q ** (e * ell) - 1)
+    return _strict_greater_with_sqrt(q**dim - 1 - tail + c1, c1, dim, q)
 
 
 def _f2_pairs(r: int, q_max: int, ell: int) -> list[tuple[int, int, int]]:
-    """Failing (q_power, dim, ell) for the F2 fixed-point covering scan."""
+    """Failing (q_power, dim, ell) for the F2 fixed-point covering scan.
+
+    For d0 = qp - 1, (qp - 1)/2 and qp + 1, an element of order r fixes a
+    subspace of dimension at most ell * m, m read off the lift tables by
+    the residue of qp mod r; inequality (2) asks 2^(ell d0) > qp (qp + 1) 2^(ell m).
+    """
     out = []
     for qp in prime_powers(5, q_max, odd_only=True):
         t, _ = prime_power_split(qp)
         if t == r:
             continue
-        if qp % r not in (1, r - 1):
+        if qp % r == 1:
+            bounds = ((qp - 1) // r, (qp - 1) // (2 * r), (qp + 2 * r - 1) // r)
+        elif qp % r == r - 1:
+            bounds = ((qp + 1) // r, (qp + 1 - 2 * r) // (2 * r), (qp + 1) // r)
+        else:
             continue
-        for pattern, d0 in (
-            ("minus", qp - 1),
-            ("minus-half", (qp - 1) // 2),
-            ("plus", qp + 1),
-        ):
-            m = _order_r_bound(qp, pattern, r, ell)
-            if m is None:
-                continue
+        for d0, m in zip((qp - 1, (qp - 1) // 2, qp + 1), bounds):
             d = ell * d0
-            # inequality (2): 2^d > qp (qp+1) 2^m
-            if not (1 << d) > qp * (qp + 1) * (1 << m):
+            if not (1 << d) > qp * (qp + 1) * (1 << (ell * m)):
                 out.append((qp, d, ell))
-    return sorted(set(out))
+    return out
 
 
 def inequality_ledger(
@@ -481,29 +450,19 @@ def inequality_ledger(
     if family not in LEDGER_FAMILIES:
         raise ClassifyError(f"unknown ledger family {family!r}; known: {LEDGER_FAMILIES}")
     if q_max is None:
-        qm = 100 if family.startswith("f2-") else FAMILY_THRESHOLDS[family] - 1
+        qm = 100 if family in F2_FAMILIES else COVERING_FAMILIES[family][0] - 1
     elif q_max < 1:
         raise ClassifyError(f"q_max must be a positive integer, got {q_max}")
     else:
         qm = q_max
-    if family == "f2-order3":
-        return [(qp, d) for qp, d, _ in _f2_pairs(3, qm, 1)]
-    if family == "f2-order5":
-        return [(qp, d) for qp, d, _ in _f2_pairs(5, qm, 1)]
-    if family == "f2-ell2":
-        out = []
-        for ell in range(2, ell_max + 1):
-            for r in (3, 5):
-                out.extend(_f2_pairs(r, qm, ell))
-        return sorted(set(out))
-    odd_only = family.endswith("half")
+    if family in F2_FAMILIES:
+        composite = family == "f2-ell2"  # it scans ell = 2 .. ell_max and reports ell
+        ells = range(2, ell_max + 1) if composite else (1,)
+        rows = sorted({row for ell in ells for r in F2_FAMILIES[family] for row in _f2_pairs(r, qm, ell)})
+        return rows if composite else [(qp, d) for qp, d, _ in rows]
     failures = []
-    for qp in prime_powers(4, qm, odd_only=odd_only):
-        t, _ = prime_power_split(qp)
-        if odd_only and t == 2:
-            continue
-        char_primes = sorted(prime_divisors(qp * qp - 1))
-        for q in char_primes:
+    for qp in prime_powers(4, qm, odd_only=COVERING_FAMILIES[family][2]):
+        for q in sorted(prime_divisors(qp * qp - 1)):
             for ell in range(1, ell_max + 1):
                 if not _covering_inequality_holds(family, qp, ell, q):
                     failures.append((q, qp, ell))

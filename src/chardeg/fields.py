@@ -2,10 +2,12 @@
 
 A scalar is an integer index in [0, p^k): the base-p digits of the index
 are the coefficients of the residue polynomial, constant term first.  For
-prime fields the index is just the residue and arithmetic is mod p.  An
-extension field has order at most TABLE_LIMIT, and its add/mul/neg/inv
-lookup tables are its only arithmetic: the scalar methods read them, and
-vectorized numpy code indexes them with whole arrays.
+prime fields the index is just the residue.  The add/mul/neg/inv lookup
+tables of a field of order at most TABLE_LIMIT are its only arithmetic,
+indexed by numpy code with whole arrays; an extension field never exceeds
+that order, and a larger prime field is only a modulus that callers reduce
+by directly.  digits and undigits are the package's one digit codec, both
+ways: least significant digit first, on the last axis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chardeg.numtheory import factorize, is_prime
+from chardeg.numtheory import is_prime
 
 MAX_ORDER = 1 << 20
 TABLE_LIMIT = 1 << 10
@@ -32,6 +34,17 @@ def digits(n, base: int, width: int) -> np.ndarray:
     out = np.empty(n.shape + (width,), dtype=np.int64)
     for i in range(width):
         n, out[..., i] = np.divmod(n, base)
+    return out
+
+
+def undigits(d, base: int) -> np.ndarray:
+    """The integers whose base-`base` digits lie on the last axis of d, least
+    significant first (int64): the inverse of :func:`digits`."""
+    d = np.asarray(d, dtype=np.int64)
+    out = d[..., -1].copy()
+    for i in range(d.shape[-1] - 2, -1, -1):
+        out *= base
+        out += d[..., i]
     return out
 
 
@@ -76,53 +89,16 @@ class Field:
     def is_prime_field(self) -> bool:
         return self.k == 1
 
-    # -- scalar arithmetic on integer indices --------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return int(self.tables[0][a, b])
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return int(self.tables[2][a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        return int(self.tables[1][a, b])
-
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self.tables[3][a])
-
     @functools.cached_property
     def generator(self) -> int:
-        """Smallest index generating the multiplicative group."""
-        n = self.order - 1
-        fac = factorize(n) if n > 1 else {}
-        for g in range(1, self.order):
-            if all(self.power(g, n // q) != 1 for q in fac):
-                return g
-        raise FieldError("no multiplicative generator found")
+        """Smallest unit whose powers, read off the multiplication table, first
+        reach 1 at the exponent order - 1."""
+        mul = self.tables[1]
+        units = power = np.arange(1, self.order)
+        for _ in range(self.order - 2):  # drop the units of order 1 .. order - 2
+            units, power = units[power != 1], power[power != 1]
+            power = mul[power, units]
+        return int(units[0])
 
     # -- lookup tables for vectorized index arithmetic -----------------------
 
@@ -137,18 +113,17 @@ class Field:
         p, k, q = self.p, self.k, self.order
         if q > TABLE_LIMIT:
             raise FieldError(f"field of order {q} exceeds the table limit {TABLE_LIMIT}")
-        weights = p ** np.arange(k)
-        coeffs = digits(np.arange(q), p, k).T  # k x q, constant term first
-        add = np.tensordot(weights, (coeffs[:, :, None] + coeffs[:, None]) % p, 1)
-        neg = weights @ ((-coeffs) % p)
-        prod = np.zeros((2 * k - 1, q, q), dtype=np.int64)
+        coeffs = digits(np.arange(q), p, k)  # q x k, constant term first
+        add = undigits((coeffs[:, None] + coeffs[None]) % p, p)
+        neg = undigits((-coeffs) % p, p)
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
-            prod[i : i + k] += coeffs[i, :, None] * coeffs[:, None]
+            prod[..., i : i + k] += coeffs[:, None, i, None] * coeffs[None]
         prod %= p
-        low = np.asarray(self.modulus[:k])[:, None, None]
+        low = np.asarray(self.modulus[:k])
         for i in range(2 * k - 2, k - 1, -1):
-            prod[i - k : i] = (prod[i - k : i] - prod[i] * low) % p
-        mul = np.tensordot(weights, prod[:k], 1)
+            prod[..., i - k : i] = (prod[..., i - k : i] - prod[..., i, None] * low) % p
+        mul = undigits(prod[..., :k], p)
         inv = np.argmax(mul == 1, axis=1)
         for arr in (add, mul, neg, inv):
             arr.flags.writeable = False

@@ -8,14 +8,17 @@ generators extends to the elements by walking that tree.  Element
 arithmetic is batched: products and inverses of matrix stacks
 (_batch_mul, _batch_inv_det1, _powers), and one dense index over all q^4
 matrix keys that maps a stack of matrices back to element positions in
-one gather; it bounds the field order by FIELD_ORDER_CAP, well under the
-fields' TABLE_LIMIT.  So inverses negate through the field's negation
-table and traces are read off its addition table, over every field; only
-products over a prime field take the exact int64 matmul.  Element orders
-are computed once per trace value, and the Sylow t-subgroups once per
-group, by GroupTable.sylow_map.  A subgroup's generating set is read
-off kernels.orbit_labels: the subgroup that some members generate is the
-orbit of the identity under right multiplication by them.
+one gather.  A matrix key is its entries as base-q digits (fields.undigits),
+row by row, least significant first.  The index bounds the field order by
+FIELD_ORDER_CAP, well under the fields' TABLE_LIMIT, so every field
+operation is a table read: the generators' determinants are one batched
+read, inverses negate through the negation table and traces are read off
+the addition table; only products over a prime field take the exact int64
+matmul.  Element orders are computed once per trace value, and the Sylow
+t-subgroups once per group, by GroupTable.sylow_map.  A subgroup's
+generating set is read off kernels.orbit_labels: the subgroup that some
+members generate is the orbit of the identity under right multiplication
+by them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from chardeg.fields import Field, digits, field_make
+from chardeg.fields import Field, digits, field_make, undigits
 from chardeg.kernels import _number_orbits, orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
@@ -87,29 +90,33 @@ class GroupTable:
         self.field = field
         self.gens = np.ascontiguousarray(gens, dtype=np.int64)
         # inverses are adjugates and element orders are read off traces
-        for a, b, c, d in self.gens.reshape(-1, 4).tolist():
-            if field.sub(field.mul(a, d), field.mul(b, c)) != 1:
-                raise GroupError(f"group generator {[a, b, c, d]} does not have determinant 1")
+        add, mul, neg, _ = field.tables
+        a, b, c, d = self.gens.reshape(-1, 4).T
+        bad = np.flatnonzero(add[mul[a, d], neg[mul[b, c]]] != 1)
+        if bad.size:
+            raise GroupError(
+                f"group generator {self.gens[bad[0]].reshape(-1).tolist()} does not have determinant 1"
+            )
         self._close()
 
     # -- closure --------------------------------------------------------------
 
     def _keys(self, mats: np.ndarray) -> np.ndarray:
-        """The base-q key of every matrix in a stack (its entries as digits), as int64."""
-        q = self.field.order
-        return ((mats[..., 0, 0] * q + mats[..., 0, 1]) * q + mats[..., 1, 0]) * q + mats[..., 1, 1]
+        """The key of every matrix in a stack: its entries as base-q digits, row
+        by row, least significant first."""
+        return undigits(mats.reshape(*mats.shape[:-2], 4), self.field.order)
 
     def _close(self) -> None:
         """Breadth-first closure, one batched step per BFS level, on keys.
 
-        A matrix key is its two row keys (base q) side by side, and row i of
-        x g is row i of x times g, so one table of the row images under each
-        generator (q^2 rows) gives the key of every product of the level
-        [lo, hi) by every generator at once.  The products are taken in
-        (element, generator) order and the first product of each key not
-        seen before is appended.  That is exactly the order in which the
-        element-at-a-time BFS appends them, so elems (read off the keys'
-        digits), parent and parent_gen are the same arrays.
+        A matrix key is its two row keys as base-q^2 digits, first row least
+        significant, and row i of x g is row i of x times g, so one table of
+        the row images under each generator (q^2 rows) gives the key of every
+        product of the level [lo, hi) by every generator at once.  The
+        products are taken in (element, generator) order and the first
+        product of each key not seen before is appended.  That is exactly the
+        order in which the element-at-a-time BFS appends them, so elems (read
+        off the keys' digits), parent and parent_gen are the same arrays.
 
         The dense index maps every key in [0, q^4) to its element position,
         -1 off the group.  While a level is scanned, each fresh key holds
@@ -119,9 +126,9 @@ class GroupTable:
         F = self.field
         q = F.order
         n_gens = len(self.gens)
-        rows = np.stack(np.divmod(np.arange(q * q), q), axis=-1)[:, None, None, :]
+        rows = digits(np.arange(q * q), q, 2)[:, None, None, :]
         images = _batch_mul(F, rows, self.gens[None])[:, :, 0]
-        row_image = images[..., 0] * q + images[..., 1]  # (q^2 rows, generators)
+        row_image = undigits(images, q)  # (q^2 rows, generators)
         index = np.full(q**4, -1, dtype=np.int32)
         frontier = self._keys(np.eye(2, dtype=np.int64))[None]
         index[frontier] = 0
@@ -130,8 +137,8 @@ class GroupTable:
         parent_gens = [np.asarray([-1], dtype=np.int64)]
         lo, total = 0, 1
         while frontier.size:
-            top, bottom = np.divmod(frontier, q * q)
-            keys = (row_image[top] * (q * q) + row_image[bottom]).reshape(-1)
+            halves = row_image[digits(frontier, q * q, 2)]  # (frontier, row, generator)
+            keys = undigits(halves.swapaxes(1, 2), q * q).reshape(-1)
             fresh = np.flatnonzero(index[keys] < 0)
             tags = (fresh - 2**31).astype(np.int32)
             np.minimum.at(index, keys[fresh], tags)
@@ -143,8 +150,7 @@ class GroupTable:
             parent_gens.append(new % n_gens)
             lo = total
             total += new.size
-        # a key's digits are the entries, most significant first
-        self.elems = digits(np.concatenate(keys_found), q, 4)[:, ::-1].reshape(-1, 2, 2)
+        self.elems = digits(np.concatenate(keys_found), q, 4).reshape(-1, 2, 2)
         self.elems.flags.writeable = False
         self._index = index
         self.parent = np.concatenate(parents)
@@ -252,7 +258,7 @@ def sl2_group(q: int) -> GroupTable:
             [[one, one], [0, one]],
             [[one, 0], [one, one]],
             [[one, w], [0, one]],
-            [[w, 0], [0, F.inv(w)]],
+            [[w, 0], [0, F.tables[3][w]]],
         ],
         dtype=np.int64,
     )

@@ -196,7 +196,7 @@ def perm_module(group: GroupTable, action: str, r: int) -> GModule:
     F = group.field
     q = F.order
     if action == "nonzero-vectors":
-        xs, ys = np.divmod(np.arange(1, q * q), q)
+        ys, xs = digits(np.arange(1, q * q), q, 2).T
     elif action == "projective-points":
         xs = np.r_[0, np.ones(q, dtype=np.int64)]
         ys = np.r_[1, np.arange(q)]
@@ -332,9 +332,9 @@ def _kernel_lines(F: Field, ker: np.ndarray):
     n_lines = (q**nullity - 1) // (q - 1)
     if n_lines > LINE_ENUM_LIMIT:
         return None
-    # every coefficient vector, in itertools.product order, whose first
-    # nonzero entry is 1
-    coeffs = np.indices((q,) * nullity).reshape(nullity, -1).T
+    # every coefficient vector, in itertools.product order (most significant
+    # digit first), whose first nonzero entry is 1
+    coeffs = digits(np.arange(q**nullity), q, nullity)[:, ::-1]
     first = coeffs[np.arange(coeffs.shape[0]), (coeffs != 0).argmax(axis=1)]
     return mul_mod(coeffs[first == 1], ker, F.p)
 
@@ -342,8 +342,7 @@ def _kernel_lines(F: Field, ker: np.ndarray):
 def _meataxe_step(m: GModule, rng):
     """One irreducibility decision: ('irr', None) or ('sub', basis rows)."""
     F, d = m.field, m.dim
-    act = [g.T.copy() for g in m.gen_images]  # row action for module submodules
-    act_t = [g.copy() for g in m.gen_images]  # row action for transpose module
+    act = [g.T for g in m.gen_images]  # row action for module submodules
     # cyclic-vector fast path; also the only route for scalar-like actions,
     # whose algebra has no nonzero singular elements for the kernel search
     e0 = np.zeros(d, dtype=np.int64)
@@ -366,7 +365,7 @@ def _meataxe_step(m: GModule, rng):
         if lines is None:
             continue  # cannot certify from a partial kernel sweep
         ker_t = nullspace(F, A.T.copy())
-        Wt = spin(F, [ker_t[0]], act_t, d)
+        Wt = spin(F, [ker_t[0]], m.gen_images, d)
         if Wt.shape[0] < d:
             return "sub", nullspace(F, Wt)
         return "irr", None

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 from math import isqrt
 
@@ -12,6 +13,7 @@ from chardeg.classify import (
     CASE_BARE,
     CASE_LETTERS,
     CASE_SIX_DIM,
+    LEDGER_FAMILIES,
     ClassifyError,
     GroupDescriptor,
     TwoComponentInput,
@@ -118,6 +120,22 @@ def test_ledger_stability_beyond_thresholds():
     for family, qm in (("dim-l-q", 68), ("dim-l-q-plus-1", 64), ("dim-l-q-minus-1", 76)):
         assert inequality_ledger(family) == inequality_ledger(family, q_max=qm)
     assert inequality_ledger("f2-order3") == inequality_ledger("f2-order3", q_max=200)
+
+
+def test_ledger_bytes_are_pinned():
+    """Every family's ledger over a grid of bounds, and the unknown-family
+    message, are pinned by one sha256."""
+    lines = [
+        repr(inequality_ledger(fam, q_max, ell_max))
+        for fam in LEDGER_FAMILIES
+        for q_max in (None, 1, 4, 5, 17, 50, 100, 200, 400)
+        for ell_max in (1, 2, 3, 8)
+    ]
+    with pytest.raises(ClassifyError) as err:
+        inequality_ledger("nope")
+    lines.append(str(err.value))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "26bfeaee141ad419627327ffdf2e0ead3ee12fbdc986fab3fd89467215e80615"
 
 
 def test_ledger_unknown_family():

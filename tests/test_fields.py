@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chardeg.fields import TABLE_LIMIT, FieldError, digits, field_from_json, field_make
+from chardeg.fields import TABLE_LIMIT, FieldError, digits, field_from_json, field_make, undigits
 from chardeg.numtheory import prime_power_split, prime_powers
 from oracles import digit_loop
 
@@ -73,21 +73,24 @@ def test_field_axioms_exhaustive(p, k):
 
 
 def test_generator_has_full_order():
-    F = field_make(3, 2)
-    g = F.generator
-    seen = set()
-    x = 1
-    for _ in range(F.order - 1):
-        x = F.mul(x, g)
-        seen.add(x)
-    assert len(seen) == F.order - 1
+    """Over every field that sl2_group reads it from, the generator is the
+    least unit of multiplicative order q - 1, found by brute force: pow for a
+    prime q, repeated table products otherwise."""
+    for q in prime_powers(4, 49):
+        F = field_make(*prime_power_split(q))
+        mul = F.tables[1].tolist()
 
+        def order(g):
+            x, n = g, 1
+            while x != 1:
+                x, n = mul[x][g], n + 1
+            return n
 
-def test_scalar_pow_and_inv():
-    F = field_make(7, 1)
-    for a in range(1, 7):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.power(a, 6) == 1
+        if F.is_prime_field:
+            least = min(g for g in range(1, q) if all(pow(g, e, q) != 1 for e in range(1, q - 1)))
+        else:
+            least = min(g for g in range(1, q) if order(g) == q - 1)
+        assert F.generator == least, q
 
 
 def test_json_round_trip():
@@ -140,29 +143,23 @@ def _oracle_tables(F):
 
 @pytest.mark.parametrize("q", prime_powers(2, 128))
 def test_tables_and_scalars_match_polynomial_arithmetic(q):
-    """Every table entry, and every scalar operation, against coefficient-list
-    polynomial arithmetic mod the field's modulus."""
+    """Every table entry, which is all the field arithmetic there is, against
+    coefficient-list polynomial arithmetic mod the field's modulus."""
     F = field_make(*prime_power_split(q))
-    expected = _oracle_tables(F)
-    for table, want in zip(F.tables, expected):
+    for table, want in zip(F.tables, _oracle_tables(F)):
         assert table.dtype == np.int64 and not table.flags.writeable
         assert table.tolist() == want
-    add, mul, neg, inv = expected
-    rng = np.random.default_rng(q)
-    for a, b in rng.integers(0, q, size=(200, 2)).tolist():
-        assert (F.add(a, b), F.mul(a, b), F.neg(a), F.sub(a, b)) == (add[a][b], mul[a][b], neg[a], add[a][neg[b]])
-        if a:
-            assert F.inv(a) == inv[a]
 
 
 @given(st.integers(2, 49), st.integers(1, 8), st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
 def test_digits_match_the_division_loop(base, width, ns):
     """digits agrees with one division at a time, on a scalar and on an array,
-    and its digits spell every n below base^width back out."""
+    and undigits spells every n below base^width back out, on a stacked input too."""
     got = digits(np.asarray(ns), base, width)
     assert got.shape == (len(ns), width) and got.dtype == np.int64
     assert got.tolist() == [digit_loop(n, base, width) for n in ns]
     assert digits(ns[0], base, width).tolist() == digit_loop(ns[0], base, width)
-    for n, row in zip(ns, got.tolist()):
-        if n < base**width:
-            assert sum(d * base**i for i, d in enumerate(row)) == n
+    below = np.asarray(ns) < base**width
+    assert undigits(got, base)[below].tolist() == np.asarray(ns)[below].tolist()
+    stacked = np.stack([np.asarray(ns)[below]] * 3)
+    assert undigits(digits(stacked, base, width), base).tolist() == stacked.tolist()

@@ -150,6 +150,12 @@ def test_generators_of_determinant_other_than_1_are_refused():
     scalar 2I over F5 (determinant 4) would give 4I the order of 2I."""
     with pytest.raises(GroupError, match=r"\[2, 0, 0, 2\] does not have determinant 1"):
         GroupTable(field_make(5), np.asarray([[[1, 1], [0, 1]], [[2, 0], [0, 2]]], dtype=np.int64))
+    # over F_9 the third generator, x I with x^2 = 2, is the first bad one; the fourth is bad too
+    with pytest.raises(GroupError, match=r"\[3, 0, 0, 3\] does not have determinant 1"):
+        GroupTable(
+            field_make(3, 2),
+            np.asarray([[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[3, 0], [0, 3]], [[2, 0], [0, 1]]], dtype=np.int64),
+        )
 
 
 def test_element_orders_divide_group_order(g7):
@@ -408,9 +414,10 @@ def test_count_normalized_sylow_matches_conjugation_oracle(q, r):
 
 def _sylow_buckets_per_element(g):
     """sylow_char_subgroups member lists, one fixed point at a time from
-    the eigenvector of each unipotent matrix, in scalar field arithmetic."""
+    the eigenvector of each unipotent matrix, one table entry at a time."""
     F = g.field
     t = F.p
+    add, mul, neg, inv = (table.tolist() for table in F.tables)
     orders = g.element_orders
     buckets = {}
     for i in range(g.order):
@@ -418,15 +425,15 @@ def _sylow_buckets_per_element(g):
         if o == 1 or p_part(o, t) != o:
             continue
         m = g.elems[i]
-        a = F.sub(int(m[0, 0]), 1)
+        a = add[int(m[0, 0])][neg[1]]
         b = int(m[0, 1])
         c = int(m[1, 0])
-        d = F.sub(int(m[1, 1]), 1)
+        d = add[int(m[1, 1])][neg[1]]
         if a == 0 and b == 0:
-            vec = (F.neg(d), c) if (c or d) else (1, 0)
+            vec = (neg[d], c) if (c or d) else (1, 0)
         else:
-            vec = (F.neg(b), a)
-        point = (1, F.mul(F.inv(vec[0]), vec[1])) if vec[0] != 0 else (0, 1)
+            vec = (neg[b], a)
+        point = (1, mul[inv[vec[0]]][vec[1]]) if vec[0] != 0 else (0, 1)
         buckets.setdefault(point, []).append(i)
     return [tuple(sorted([0] + buckets[point])) for point in sorted(buckets)]
 

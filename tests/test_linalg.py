@@ -51,13 +51,13 @@ def test_kernel_membership_over_f5():
 
 
 def _table_mat_mul(F, A, B):
-    """Matrix product entry by entry through the field's scalar operations."""
+    """Matrix product entry by entry, in plain integer arithmetic mod p."""
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for i in range(A.shape[0]):
         for j in range(B.shape[1]):
             acc = 0
             for k in range(A.shape[1]):
-                acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
+                acc = (acc + int(A[i, k]) * int(B[k, j])) % F.p
             out[i, j] = acc
     return out
 
@@ -98,7 +98,7 @@ def test_row_space_contains_matches_exhaustive_span(F):
         for coeffs in itertools.product(range(F.order), repeat=piv.size):
             v = [0] * n
             for c, row in zip(coeffs, basis):
-                v = [F.add(x, F.mul(c, int(y))) for x, y in zip(v, row)]
+                v = [(x + c * int(y)) % F.p for x, y in zip(v, row)]
             span.add(tuple(v))
         for v in itertools.product(range(F.order), repeat=n):
             rank = _rank(F, np.concatenate([basis, np.asarray([v], dtype=np.int64)]))
