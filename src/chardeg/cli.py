@@ -296,8 +296,10 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Strip --config FILE from argv and install its keys as defaults.
 
     Config keys mirror flag names; explicit flags always win.  A value for
-    a flag with a type converter is installed as its string, which argparse
-    converts like the flag's own argument, so a bad value is refused alike.
+    a flag that takes an argument is installed as its string, which argparse
+    reads like the flag's own argument text, so a bad value is refused alike.
+    A flag that takes no argument accepts only true or false, and null leaves
+    any flag at its default.
     """
     if "--config" not in argv:
         return argv
@@ -312,11 +314,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             raise UsageError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(conf, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    defaults = {str(k).replace("-", "_"): v for k, v in conf.items()}
-    ap.set_defaults(**defaults)
+    defaults = {str(k).replace("-", "_"): v for k, v in conf.items() if v is not None}
     for p in ap.subcommand_parsers.values():
-        typed = {a.dest: a.type is not None for a in p._actions}
-        p.set_defaults(**{k: str(v) if typed[k] else v for k, v in defaults.items() if k in typed})
+        takes_arg = {a.dest: a.nargs != 0 for a in p._actions}
+        for k, v in defaults.items():
+            if k in takes_arg and not takes_arg[k] and not isinstance(v, bool):
+                raise UsageError(f"config key {k!r}: a flag without an argument takes true, false or null, got {v!r}")
+        p.set_defaults(**{k: str(v) if takes_arg[k] else v for k, v in defaults.items() if k in takes_arg})
     return argv[:i] + argv[i + 2 :]
 
 

@@ -40,7 +40,6 @@ ALGEBRA_BUDGET = 200
 LINE_ENUM_LIMIT = 600
 FINGERPRINT_COUNT = 20
 TENSOR_WORK_CAP = 256
-CATALOG_ROUNDS = 8
 
 
 class InconclusiveError(RuntimeError):
@@ -576,66 +575,55 @@ def irreducible_catalog(
 ) -> Catalog:
     """All irreducibles over F_r up to dim_cap, from permutation seeds.
 
-    Seed modules are chopped, then the found set is closed under dual and
-    pairwise tensor (tensor inputs limited to product dimension TENSOR_WORK_CAP;
-    the cap on reported entries is dim_cap).  The search stops as soon as
-    the abstract irreducible count is reached, which certifies
-    completeness.
+    The permutation modules on projective points and nonzero vectors are
+    chopped, and the found set is closed under dual and pairwise tensor
+    (tensor inputs limited to product dimension TENSOR_WORK_CAP; the cap on
+    reported entries is dim_cap).  One stopping rule: the search runs while
+    it has modules to chop, and reaching the abstract irreducible count,
+    which certifies completeness, leaves nothing to chop.  Each round after
+    the first chops tensors of pairs not tried before, so the search ends.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
     expected = irreducible_count(group, r)
     keep_cap = max(dim_cap, 32)
     q = group.field.order
-    seeds = [perm_module(group, "projective-points", r)]
-    if q * q - 1 <= CHOP_DIM_CAP:
-        seeds.append(perm_module(group, "nonzero-vectors", r))
     found: list[GModule] = [trivial_module(group, r)]
-    pending: list[GModule] = list(seeds)
+    pending = [perm_module(group, "projective-points", r)]
+    if q * q - 1 <= CHOP_DIM_CAP:
+        pending.append(perm_module(group, "nonzero-vectors", r))
 
-    def register(mod: GModule) -> bool:
-        if mod.dim > keep_cap:
-            return False
-        for have in found:
-            if (
-                have.dim == mod.dim
-                and have.class_traces == mod.class_traces
-                and is_isomorphic(have, mod)
-            ):
-                return False
-        found.append(mod)
-        return True
+    def register(mod: GModule) -> None:
+        if mod.dim <= keep_cap and not any(
+            have.dim == mod.dim and have.class_traces == mod.class_traces and is_isomorphic(have, mod)
+            for have in found
+        ):
+            found.append(mod)
 
     tensored: set[tuple[int, int]] = set()
-    dualed: set[int] = set()
-    for _ in range(CATALOG_ROUNDS):
-        progress = False
+    dualed = 0  # found[:dualed] have had their duals registered
+    while pending:
         for mod in pending:
             for factor in chop(mod, seed=seed):
-                progress |= register(factor)
-            if len(found) >= expected:
+                register(factor)
+            if len(found) == expected:
                 break
         pending = []
-        if len(found) >= expected:
-            break
-        for i in range(len(found)):
-            if i not in dualed:
-                dualed.add(i)
-                progress |= register(dual(found[i]))
-        if len(found) >= expected:
-            break
-        candidates = []
-        for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):
-            da, db = found[ai].dim, found[bi].dim
-            if (ai, bi) in tensored or da == 1 or db == 1 or da * db > TENSOR_WORK_CAP:
-                continue
-            candidates.append((da * db, ai, bi))
-        candidates.sort()
-        for _, ai, bi in candidates[:8]:
-            tensored.add((ai, bi))
-            pending.append(tensor(found[ai], found[bi]))
-        if not pending and not progress:
-            break
+        if len(found) < expected:
+            new, dualed = found[dualed:], len(found)
+            for mod in new:
+                register(dual(mod))
+        if len(found) < expected:
+            candidates = []
+            for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):
+                da, db = found[ai].dim, found[bi].dim
+                if (ai, bi) in tensored or da == 1 or db == 1 or da * db > TENSOR_WORK_CAP:
+                    continue
+                candidates.append((da * db, ai, bi))
+            candidates.sort()
+            for _, ai, bi in candidates[:8]:
+                tensored.add((ai, bi))
+                pending.append(tensor(found[ai], found[bi]))
     entries = []
     for mod in found:
         if mod.dim > dim_cap:

@@ -11,6 +11,7 @@ stabilizer share one Subgroup and one set of covering flags.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,6 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
     inv_gens = np.stack([mat_inv(m.field, g) for g in m.gen_images])
     reps, sizes, members = orbit_stabilizers(inv_gens, r, m.dim, group.parent, group.parent_gen)
     orbits = []
-    nonzero_counts = {name: 0 for name in sylow_primes}
     # member bytes -> (stabilizer, flags): one Subgroup and one test per prime
     # for each distinct stabilizer
     distinct: dict[bytes, tuple[Subgroup, dict]] = {}
@@ -99,28 +99,20 @@ def _decompose(m: GModule, sylow_primes: dict[str, int]) -> OrbitReport:
         stab, flags = distinct[key]
         if stab.order * size != group.order:
             raise GroupError("orbit-stabilizer identity failed")
-        for name, flag in flags.items():
-            if flag and rep_key != 0:
-                nonzero_counts[name] += size
         orbits.append(Orbit(rep_key, tuple(vec), size, stab.order, dict(flags), stab))
     summary: dict = {"orbit_count": len(orbits), "sizes": sorted(s for s in sizes.tolist())}
     if sylow_primes:
+
+        def covered(*names) -> int:
+            """Number of nonzero vectors whose stabilizer has any of the named flags."""
+            return sum(o.size for o in orbits if o.rep_key != 0 and any(o.flags[n] for n in names))
+
         total_nonzero = r**m.dim - 1
+        counts = {name: covered(name) for name in sylow_primes}
+        covers = {f"{a}+{b}": covered(a, b) == total_nonzero for a, b in itertools.combinations(sylow_primes, 2)}
+        covers.update((name, counts[name] == total_nonzero) for name in sylow_primes)
         summary["set_primes"] = dict(sylow_primes)
-        summary["nonzero_counts"] = nonzero_counts
-        covers = {}
-        names = list(sylow_primes)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                a, b = names[i], names[j]
-                covered = sum(
-                    o.size
-                    for o in orbits
-                    if o.rep_key != 0 and (o.flags[a] or o.flags[b])
-                )
-                covers[f"{a}+{b}"] = covered == total_nonzero
-        for name in names:
-            covers[name] = nonzero_counts[name] == total_nonzero
+        summary["nonzero_counts"] = counts
         summary["covers_nonzero"] = covers
         summary["equalities"] = sorted(k for k, v in covers.items() if v)
     return OrbitReport(m, tuple(orbits), summary)

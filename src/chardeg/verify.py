@@ -203,7 +203,7 @@ def check_degree_graph_shapes(h: Harness):
 
 
 def check_case_c_end_to_end(h: Harness):
-    sixes = h.entry(13, 3, 6, faithful=True)
+    e = h.entry(13, 3, 6, faithful=True)[0]
     expected = {
         "degrees": [1, 6, 7, 12, 13, 14, 728],
         "vertices": [2, 3, 7, 13],
@@ -211,18 +211,16 @@ def check_case_c_end_to_end(h: Harness):
         "articulation": [2],
         "complete": [2],
     }
-    observed = {}
-    for e in sixes[:1]:
-        ds = semidirect_degrees(e.module)
-        g = graph_from_degrees(ds)
-        a = analyze(g)
-        observed = {
-            "degrees": ds.as_sorted(),
-            "vertices": list(g.vertices),
-            "edges": g.to_json()["edges"],
-            "articulation": list(a.articulation_points),
-            "complete": list(a.complete_vertices),
-        }
+    ds = semidirect_degrees(e.module)
+    g = graph_from_degrees(ds)
+    a = analyze(g)
+    observed = {
+        "degrees": ds.as_sorted(),
+        "vertices": list(g.vertices),
+        "edges": g.to_json()["edges"],
+        "articulation": list(a.articulation_points),
+        "complete": list(a.complete_vertices),
+    }
     return expected, observed
 
 
@@ -311,18 +309,16 @@ def check_module_catalogs(h: Harness):
     return expected, observed
 
 
-_FIXED_BOUND = {"q": 1, "q+1": 2, "q-1": 0, "(q+1)/2": 1, "(q-1)/2": 0}
-
-
-def _dimension_pattern(q: int, t: int, dim: int, ell: int) -> str | None:
+def _fixed_bound(q: int, t: int, dim: int, ell: int) -> int | None:
+    """The centralizer table's bound on the fixed space of a Sylow t-subgroup,
+    read off d0 = dim / ell; None when no dimension pattern fits."""
     if dim % ell:
         return None
-    d0 = dim // ell
-    names = {q: "q", q + 1: "q+1", q - 1: "q-1"}
+    bounds = {q: 1, q + 1: 2, q - 1: 0}
     if t != 2:
-        names[(q + 1) // 2] = "(q+1)/2"
-        names[(q - 1) // 2] = "(q-1)/2"
-    return names.get(d0)
+        bounds |= {(q + 1) // 2: 1, (q - 1) // 2: 0}
+    bound = bounds.get(dim // ell)
+    return None if bound is None else bound * ell
 
 
 def check_fixed_space_bounds(h: Harness):
@@ -339,11 +335,10 @@ def check_fixed_space_bounds(h: Harness):
             if e.dim < 2:
                 continue
             n += 1
-            pat = _dimension_pattern(q, t, e.dim, e.ell)
-            if pat is None:
+            bound = _fixed_bound(q, t, e.dim, e.ell)
+            if bound is None:
                 failures.append([q, r, e.dim, e.ell, "no dimension pattern"])
                 continue
-            bound = _FIXED_BOUND[pat] * e.ell
             fdim = fixed_subspace(e.module, T).shape[0]
             if fdim > bound:
                 failures.append([q, r, e.dim, e.ell, f"fixed dim {fdim} > {bound}"])

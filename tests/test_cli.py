@@ -522,9 +522,11 @@ def test_config_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
         assert message in captured.err and captured.err.count("\n") == 1
 
 
-def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
+def test_config_values_go_through_the_flag_converters(tmp_path, capsys, monkeypatch):
     """A config value is converted by its flag's type: a seed of -1 is refused
-    exactly as --seed -1 is, and 7 or "7" become the integer 7."""
+    exactly as --seed -1 is, and 7 or "7" become the integer 7.  A flag that
+    takes no argument accepts only true or false, and null leaves a flag at
+    its default."""
     from chardeg.cli import _apply_config, build_parser
 
     conf = tmp_path / "conf.json"
@@ -544,6 +546,30 @@ def test_config_values_go_through_the_flag_converters(tmp_path, capsys):
         ap = build_parser()
         args = ap.parse_args(_apply_config(ap, ["--config", str(conf), "graph"]))
         assert (args.q, args.family) == (13, "psl2")
+    # a flag with no converter reads the value as its argument text too:
+    # {"out": 7} writes a file named 7, as --out 7 does
+    conf.write_text(json.dumps({"out": 7}))
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "--config", str(conf), "graph", "--degrees", "1,6")
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "7").read_text())["graph"]["vertices"] == [2, 3]
+    # null leaves a flag at its default: stdout for --out, 20 for --cap
+    conf.write_text(json.dumps({"out": None, "cap": None}))
+    code, out = run_cli(capsys, "--config", str(conf), "graph", "--degrees", "1,6")
+    assert code == 0 and json.loads(out)["graph"]["vertices"] == [2, 3]
+    ap = build_parser()
+    assert ap.parse_args(_apply_config(ap, ["--config", str(conf), "module", "catalog", "--group", "sl2:5"])).cap == 20
+    # a flag that takes no argument accepts only true, false or null
+    for value in ("no", 1):
+        conf.write_text(json.dumps({"faithful": value}))
+        assert main(["--config", str(conf), "module", "select", "--group", "sl2:4", "--char", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: config key 'faithful': ")
+    conf.write_text(json.dumps({"faithful": False}))
+    argv = ["--config", str(conf), "module", "select", "--group", "sl2:4", "--char", "3", "--cap", "8"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["dim"] == 1  # the one non-faithful entry of SL2(4) = A5
 
 
 def test_config_value_outside_the_choices_is_a_usage_error(tmp_path, capsys):

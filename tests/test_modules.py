@@ -722,6 +722,24 @@ def test_catalog_module_bytes_are_pinned(harness):
         assert _json_sha256(modules) == want, f"sl2:{q}/F{r}"
 
 
+# (complete, entry count, sha256 of the catalog JSON and the JSON list of its
+# entries' modules) at cap 36 and seed 42: sl2:9/F5 completes only after a
+# tensor round, and sl2:19/F2 stalls with 3 of 5 found, so each way the
+# search stops is pinned
+OUTSIDE_SPECS_CATALOGS = {
+    (9, 5): (True, 8, "724b770e566816f299fbde6bac9c651f66ff7c3620de43ca88e24409bc06073f"),
+    (19, 2): (False, 3, "fcd1869b8ea876b27dc30446b0ecac366c8ca6e786e6de78e866c31ee7cbfa63"),
+}
+
+
+def test_catalogs_outside_the_specs_are_pinned():
+    for (q, r), (complete, count, want) in OUTSIDE_SPECS_CATALOGS.items():
+        cat = irreducible_catalog(sl2_group(q), r, 36, seed=42)
+        assert (cat.complete, len(cat.entries)) == (complete, count)
+        modules = [e.module.to_json() for e in cat.entries]
+        assert _json_sha256([cat.to_json(), modules]) == want, f"sl2:{q}/F{r}"
+
+
 # sha256 of the JSON of natural_restricted(q) for every q the group layer enumerates
 NATURAL_DIGESTS = {
     4: "da9942fd16868b554057b27b674621f37afbc06b18df29822cdda612b710be81",
