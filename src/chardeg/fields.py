@@ -106,24 +106,31 @@ class Field:
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only int64 (add, mul, neg, inv) tables over all indices; inv[0] = 0.
 
-        One vectorized polynomial product: the digit rows of every index,
-        their pairwise convolution, then a top-down reduction of the
-        product coefficients by the monic modulus.
+        Vectorized polynomial products, a block of rows at a time so that
+        the digit arrays stay near 2^16 x (2k - 1) entries whatever the
+        order: the digit rows of the block's indices and of every index,
+        their pairwise sums and convolutions, then a top-down reduction of
+        the product coefficients by the monic modulus.
         """
         p, k, q = self.p, self.k, self.order
         if q > TABLE_LIMIT:
             raise FieldError(f"field of order {q} exceeds the table limit {TABLE_LIMIT}")
         coeffs = digits(np.arange(q), p, k)  # q x k, constant term first
-        add = undigits((coeffs[:, None] + coeffs[None]) % p, p)
         neg = undigits((-coeffs) % p, p)
-        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            prod[..., i : i + k] += coeffs[:, None, i, None] * coeffs[None]
-        prod %= p
         low = np.asarray(self.modulus[:k])
-        for i in range(2 * k - 2, k - 1, -1):
-            prod[..., i - k : i] = (prod[..., i - k : i] - prod[..., i, None] * low) % p
-        mul = undigits(prod[..., :k], p)
+        add = np.empty((q, q), dtype=np.int64)
+        mul = np.empty((q, q), dtype=np.int64)
+        rows = max(1, (1 << 16) // q)
+        for lo in range(0, q, rows):
+            block = coeffs[lo : lo + rows, None]
+            add[lo : lo + rows] = undigits((block + coeffs[None]) % p, p)
+            prod = np.zeros((block.shape[0], q, 2 * k - 1), dtype=np.int64)
+            for i in range(k):
+                prod[..., i : i + k] += block[..., i, None] * coeffs[None]
+            prod %= p
+            for i in range(2 * k - 2, k - 1, -1):
+                prod[..., i - k : i] = (prod[..., i - k : i] - prod[..., i, None] * low) % p
+            mul[lo : lo + rows] = undigits(prod[..., :k], p)
         inv = np.argmax(mul == 1, axis=1)
         for arr in (add, mul, neg, inv):
             arr.flags.writeable = False

@@ -4,9 +4,16 @@ The decomposition engine is a classical randomized meataxe: singular
 elements of the group algebra supply kernel vectors, spinning either
 splits the module or, through Norton's two-sided test, certifies
 irreducibility.  A search that exhausts its budget surfaces as
-InconclusiveError, never as a wrong answer.  spin is the one closure
-routine; the Hom solve reads its standard basis and the basis words off
-spin's record of each round.
+InconclusiveError, never as a wrong answer.  A chop certifies each
+isomorphism type once: a module with the dimension and class traces of a
+certified irreducible and a nonzero Hom from it is that irreducible again
+(the Hom's kernel is a submodule), so its step skips every spin and only
+replays the random draws, reading each draw's nullity off one echelon.  On
+an irreducible module the spins of the full step never touch the
+generator and never split, so the replay returns "irr" at the same draw
+and every factor's bytes stay the same.  spin is the one closure routine;
+the Hom solve reads its standard basis and the basis words off spin's
+record of each round.
 GModule.images is the one map from group elements to module matrices: a
 walk of the group's BFS tree over the asked elements and their ancestors.
 Class traces and the kernel read the class representatives alone (a kernel
@@ -145,6 +152,19 @@ class GModule:
         """
         traces = np.trace(self.images(self.group.class_reps), axis1=1, axis2=2) % self.field.p
         return tuple(traces.tolist())
+
+    @cached_property
+    def _standard_basis(self) -> tuple[list[np.ndarray], int, list[np.ndarray]]:
+        """The source side of hom_space_dim, solved once per module: the word
+        codes of the standard basis B round by round (see _spin), the number
+        of seeds, and each generator's matrix B^-1 M B.  A certified module is
+        the source of every isomorphism test against it."""
+        p, d = self.field.p, self.dim
+        rounds = _spin(self.field, identity_matrix(d), [M.T for M in self.gen_images], d)[1]
+        B = np.concatenate([vectors for _, vectors in rounds]).T
+        Binv = mat_inv(self.field, B)
+        Cs = [mul_mod(Binv, mul_mod(M, B, p), p) for M in self.gen_images]
+        return [codes for codes, _ in rounds], sum(int(codes[0] < 0) for codes, _ in rounds), Cs
 
     def to_json(self) -> dict:
         return {
@@ -324,12 +344,16 @@ def _random_algebra_element(rng, F: Field, gen_images) -> np.ndarray:
     return A
 
 
+def _line_count(q: int, nullity: int) -> int:
+    """Number of projective lines of an F_q-space of dimension nullity."""
+    return (q**nullity - 1) // (q - 1)
+
+
 def _kernel_lines(F: Field, ker: np.ndarray):
     """One row per projective line of the row span of ker, or None if too many."""
     nullity = ker.shape[0]
     q = F.order
-    n_lines = (q**nullity - 1) // (q - 1)
-    if n_lines > LINE_ENUM_LIMIT:
+    if _line_count(q, nullity) > LINE_ENUM_LIMIT:
         return None
     # every coefficient vector, in itertools.product order (most significant
     # digit first), whose first nonzero entry is 1
@@ -338,36 +362,46 @@ def _kernel_lines(F: Field, ker: np.ndarray):
     return mul_mod(coeffs[first == 1], ker, F.p)
 
 
-def _meataxe_step(m: GModule, rng):
-    """One irreducibility decision: ('irr', None) or ('sub', basis rows)."""
+def _meataxe_step(m: GModule, rng, known: bool = False):
+    """One irreducibility decision: ('irr', None) or ('sub', basis rows).
+
+    known: m is isomorphic to a certified irreducible.  The step then skips
+    every spin and only replays the draws, each nullity read off one
+    echelon, up to the draw at which the full step certifies.
+    """
     F, d = m.field, m.dim
     act = [g.T for g in m.gen_images]  # row action for module submodules
     # cyclic-vector fast path; also the only route for scalar-like actions,
     # whose algebra has no nonzero singular elements for the kernel search
-    e0 = np.zeros(d, dtype=np.int64)
-    e0[0] = 1
-    W0 = spin(F, [e0], act, d)
-    if W0.shape[0] < d:
-        return "sub", W0
+    if not known:
+        e0 = np.zeros(d, dtype=np.int64)
+        e0[0] = 1
+        W0 = spin(F, [e0], act, d)
+        if W0.shape[0] < d:
+            return "sub", W0
     for _ in range(ALGEBRA_BUDGET):
         A = _random_algebra_element(rng, F, m.gen_images)
-        ker = nullspace(F, A)
-        nullity = ker.shape[0]
+        if known:
+            nullity = d - rref_prime(A, F.p)[1].size
+        else:
+            ker = nullspace(F, A)
+            nullity = ker.shape[0]
         if nullity == 0 or nullity == d:
             continue
-        lines = _kernel_lines(F, ker)
-        vecs = lines if lines is not None else ker
-        for v in vecs:
-            W = spin(F, [v], act, d)
-            if W.shape[0] < d:
-                return "sub", W
-        if lines is None:
-            continue  # cannot certify from a partial kernel sweep
-        ker_t = nullspace(F, A.T.copy())
-        Wt = spin(F, [ker_t[0]], m.gen_images, d)
-        if Wt.shape[0] < d:
-            return "sub", nullspace(F, Wt)
-        return "irr", None
+        if not known:
+            lines = _kernel_lines(F, ker)
+            for v in lines if lines is not None else ker:
+                W = spin(F, [v], act, d)
+                if W.shape[0] < d:
+                    return "sub", W
+            if lines is not None:
+                ker_t = nullspace(F, A.T.copy())
+                Wt = spin(F, [ker_t[0]], m.gen_images, d)
+                if Wt.shape[0] < d:
+                    return "sub", nullspace(F, Wt)
+        # Norton's test certifies only from a full sweep of the kernel lines
+        if _line_count(F.order, nullity) <= LINE_ENUM_LIMIT:
+            return "irr", None
     raise InconclusiveError(
         f"no decision for a {d}-dimensional module within {ALGEBRA_BUDGET} tries"
     )
@@ -405,11 +439,17 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     )
 
 
-def chop(m: GModule, seed: int = 42) -> list[GModule]:
-    """Composition factors with multiplicity; each factor is certified."""
+def chop(m: GModule, seed: int = 42, *, certified=()) -> list[GModule]:
+    """Composition factors with multiplicity; each factor is certified.
+
+    A module isomorphic to a factor this call certified, or to one of the
+    irreducibles in certified, takes the replaying step: the same verdict
+    and the same draws, with no spin.
+    """
     if m.dim > CHOP_DIM_CAP:
         raise CapExceeded(f"dimension {m.dim} exceeds the chop cap {CHOP_DIM_CAP}")
     rng = np.random.default_rng(seed)
+    known = list(certified)
     factors: list[GModule] = []
     stack = [m]
     while stack:
@@ -417,9 +457,12 @@ def chop(m: GModule, seed: int = 42) -> list[GModule]:
         if cur.dim == 1:
             factors.append(cur)
             continue
-        verdict, W = _meataxe_step(cur, rng)
+        seen = any(is_isomorphic(have, cur) for have in known)
+        verdict, W = _meataxe_step(cur, rng, known=seen)
         if verdict == "irr":
             factors.append(cur)
+            if not seen:
+                known.append(cur)
         else:
             sub, quot = split_module(cur, W)
             stack.append(quot)
@@ -441,19 +484,18 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
     when M2 P_j - sum_k C[k, j] P_k = 0 for every j, a system in s * d2
     unknowns rather than the d1 * d2 of the Kronecker-product system.  B
     is the record of _spin from the unit vectors e_0, e_1, ..., and the
-    words are evaluated in m2 one spin round at a time.
+    words are evaluated in m2 one spin round at a time; the m1 side is
+    m1._standard_basis, kept with the module.
     """
     if m1.group is not m2.group or m1.field != m2.field:
         raise ModuleError("hom spaces need the same group and field")
     p, d1, d2 = m1.field.p, m1.dim, m2.dim
     g = len(m1.gen_images)
-    rounds = _spin(m1.field, identity_matrix(d1), [M.T for M in m1.gen_images], d1)[1]
-    B = np.concatenate([vectors for _, vectors in rounds]).T
-    seeds = sum(int(codes[0] < 0) for codes, _ in rounds)
+    rounds, seeds, Cs = m1._standard_basis
     gens2 = np.stack(m2.gen_images)
     words = np.zeros((d1, d2, seeds * d2), dtype=np.int64)
     j = t = 0
-    for codes, _ in rounds:
+    for codes in rounds:
         if codes[0] < 0:  # a round of one seed, the t-th, whose image is block t of w
             words[j, :, t * d2 : (t + 1) * d2] = identity_matrix(d2)
             t += 1
@@ -461,11 +503,9 @@ def hom_space_dim(m1: GModule, m2: GModule) -> int:
             parent, k = np.divmod(codes, g)
             words[j : j + codes.size] = mul_mod(gens2[k], words[parent], p)
         j += codes.size
-    Binv = mat_inv(m1.field, B)
     flat = words.reshape(d1, -1)
     blocks = []
-    for M1, M2 in zip(m1.gen_images, m2.gen_images):
-        C = mul_mod(Binv, mul_mod(M1, B, p), p)
+    for C, M2 in zip(Cs, m2.gen_images):
         blocks.append((mul_mod(M2, words, p) - mul_mod(C.T, flat, p).reshape(words.shape)) % p)
     rank = rref_prime(np.concatenate(blocks).reshape(-1, seeds * d2), p)[1].size
     return seeds * d2 - rank
@@ -477,9 +517,9 @@ def endo_dim(m: GModule) -> int:
 
 
 def is_isomorphic(m1: GModule, m2: GModule) -> bool:
-    if m1.dim != m2.dim:
-        return False
-    return hom_space_dim(m1, m2) > 0
+    """Whether a nonzero Hom joins modules of equal dimension and class
+    traces (both necessary); exact when either module is irreducible."""
+    return m1.dim == m2.dim and m1.class_traces == m2.class_traces and hom_space_dim(m1, m2) > 0
 
 
 def fixed_subspace(m: GModule, sub: Subgroup) -> np.ndarray:
@@ -582,6 +622,7 @@ def irreducible_catalog(
     it has modules to chop, and reaching the abstract irreducible count,
     which certifies completeness, leaves nothing to chop.  Each round after
     the first chops tensors of pairs not tried before, so the search ends.
+    Every chop is handed the irreducibles found so far as certified.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
@@ -594,17 +635,14 @@ def irreducible_catalog(
         pending.append(perm_module(group, "nonzero-vectors", r))
 
     def register(mod: GModule) -> None:
-        if mod.dim <= keep_cap and not any(
-            have.dim == mod.dim and have.class_traces == mod.class_traces and is_isomorphic(have, mod)
-            for have in found
-        ):
+        if mod.dim <= keep_cap and not any(is_isomorphic(have, mod) for have in found):
             found.append(mod)
 
     tensored: set[tuple[int, int]] = set()
     dualed = 0  # found[:dualed] have had their duals registered
     while pending:
         for mod in pending:
-            for factor in chop(mod, seed=seed):
+            for factor in chop(mod, seed=seed, certified=found):
                 register(factor)
             if len(found) == expected:
                 break

@@ -1,14 +1,24 @@
 """Test-only helpers: the generator-word replay oracle, the set-based subgroup
-closure, the forward-then-invert orbit stabilizers, the multiplicative order
-and small conveniences that no library code needs."""
+closure, the forward-then-invert orbit stabilizers, the chop that certifies
+every factor in full, the multiplicative order and small conveniences that
+no library code needs."""
 
 import numpy as np
 
+import chardeg.modules as modules
 from chardeg.groups import GroupTable, Subgroup, _batch_mul
 from chardeg.fields import Field
 from chardeg.kernels import _key_perms, _number_orbits, bfs_levels, mul_mod, orbit_labels, rref_prime
-from chardeg.linalg import identity_matrix
-from chardeg.modules import GModule, _meataxe_step
+from chardeg.linalg import identity_matrix, nullspace
+from chardeg.modules import (
+    GModule,
+    InconclusiveError,
+    _kernel_lines,
+    _meataxe_step,
+    _random_algebra_element,
+    spin,
+    split_module,
+)
 from chardeg.numtheory import factorize
 
 
@@ -162,3 +172,60 @@ def validate_homomorphism(m: GModule, samples: int = 100, seed: int = 42) -> boo
 def is_irreducible(m: GModule, seed: int = 42) -> bool:
     """Norton-certified irreducibility; may raise InconclusiveError."""
     return m.dim == 1 or _meataxe_step(m, np.random.default_rng(seed))[0] == "irr"
+
+
+def full_meataxe_step(m: GModule, rng):
+    """The meataxe step with no isomorphism gate: the cyclic-vector spin, the
+    kernel-line spins and Norton's transposed test on every module, returning
+    "irr" only after the whole test (budget and line limit read at call time)."""
+    F, d = m.field, m.dim
+    act = [g.T for g in m.gen_images]
+    e0 = np.zeros(d, dtype=np.int64)
+    e0[0] = 1
+    W0 = spin(F, [e0], act, d)
+    if W0.shape[0] < d:
+        return "sub", W0
+    for _ in range(modules.ALGEBRA_BUDGET):
+        A = _random_algebra_element(rng, F, m.gen_images)
+        ker = nullspace(F, A)
+        nullity = ker.shape[0]
+        if nullity == 0 or nullity == d:
+            continue
+        lines = _kernel_lines(F, ker)
+        vecs = lines if lines is not None else ker
+        for v in vecs:
+            W = spin(F, [v], act, d)
+            if W.shape[0] < d:
+                return "sub", W
+        if lines is None:
+            continue
+        ker_t = nullspace(F, A.T.copy())
+        Wt = spin(F, [ker_t[0]], m.gen_images, d)
+        if Wt.shape[0] < d:
+            return "sub", nullspace(F, Wt)
+        return "irr", None
+    raise InconclusiveError(
+        f"no decision for a {d}-dimensional module within {modules.ALGEBRA_BUDGET} tries"
+    )
+
+
+def full_chop(m: GModule, seed: int, states: list) -> list[GModule]:
+    """chop with full_meataxe_step on every module of dimension above 1;
+    appends the generator's state after each step to states."""
+    rng = np.random.default_rng(seed)
+    factors: list[GModule] = []
+    stack = [m]
+    while stack:
+        cur = stack.pop()
+        if cur.dim == 1:
+            factors.append(cur)
+            continue
+        verdict, W = full_meataxe_step(cur, rng)
+        states.append(rng.bit_generator.state)
+        if verdict == "irr":
+            factors.append(cur)
+        else:
+            sub, quot = split_module(cur, W)
+            stack.append(quot)
+            stack.append(sub)
+    return factors

@@ -151,6 +151,27 @@ def test_tables_and_scalars_match_polynomial_arithmetic(q):
         assert table.tolist() == want
 
 
+@pytest.mark.parametrize("q", [625, 729])
+def test_tables_built_in_row_blocks_match_polynomial_arithmetic(q):
+    """Fields whose tables take several row blocks, the last one partial (one
+    row of 625, 17 of 729): the rows on both sides of every block boundary
+    and a random sample of entries against the polynomial oracle, and the
+    negation and inverse tables against the add and mul tables."""
+    F = field_make(*prime_power_split(q))
+    add, mul, neg, inv = F.tables
+    p, k = F.p, F.k
+    rows = (1 << 16) // q
+    cut = np.arange(rows, q, rows)
+    a = np.concatenate([cut - 1, cut, [q - 1], np.random.default_rng(q).integers(q, size=40)])
+    for x in a.tolist():
+        for y in np.random.default_rng(x).integers(q, size=30).tolist():
+            dx, dy = _digits(x, p, k), _digits(y, p, k)
+            assert add[x, y] == _index([(u + v) % p for u, v in zip(dx, dy)], p)
+            assert mul[x, y] == _index(_poly_mul_mod(dx, dy, F.modulus, p), p)
+    assert (add[np.arange(q), neg] == 0).all()
+    assert (mul[np.arange(1, q), inv[1:]] == 1).all() and inv[0] == 0
+
+
 @given(st.integers(2, 49), st.integers(1, 8), st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
 def test_digits_match_the_division_loop(base, width, ns):
     """digits agrees with one division at a time, on a scalar and on an array,

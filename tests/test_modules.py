@@ -35,6 +35,8 @@ from chardeg.modules import (
 )
 from chardeg.verify import CATALOG_SPECS
 from oracles import (
+    full_chop,
+    full_meataxe_step,
     is_irreducible,
     replay_image,
     replay_kernel,
@@ -738,6 +740,102 @@ def test_catalogs_outside_the_specs_are_pinned():
         assert (cat.complete, len(cat.entries)) == (complete, count)
         modules = [e.module.to_json() for e in cat.entries]
         assert _json_sha256([cat.to_json(), modules]) == want, f"sl2:{q}/F{r}"
+
+
+def _spy_steps(monkeypatch):
+    """Wrap modules._meataxe_step and modules.spin: each step appends a record
+    (module, known, verdict, spins during the step, generator state after)."""
+    import chardeg.modules as modules
+
+    steps, spins = [], [0]
+    step, spin_fn = modules._meataxe_step, modules.spin
+
+    def counted_spin(*args):
+        spins[0] += 1
+        return spin_fn(*args)
+
+    def recorded_step(m, rng, known=False):
+        before = spins[0]
+        verdict, W = step(m, rng, known=known)
+        steps.append((m, known, verdict, spins[0] - before, rng.bit_generator.state))
+        return verdict, W
+
+    monkeypatch.setattr(modules, "spin", counted_spin)
+    monkeypatch.setattr(modules, "_meataxe_step", recorded_step)
+    return steps
+
+
+def _factor_digests(factors) -> list[str]:
+    return [hashlib.sha256(b"".join(g.tobytes() for g in f.gen_images)).hexdigest() for f in factors]
+
+
+@pytest.mark.parametrize("q,r", list(CHOP_DIGESTS), ids=[f"sl2:{q}/F{r}" for q, r in CHOP_DIGESTS])
+def test_chop_matches_the_certify_every_step_oracle(q, r, monkeypatch):
+    """chop against the chop whose every step spins in full: the same factor
+    bytes in order and the same generator state after every step, with the
+    replaying step taken on some module at every seed."""
+    proj = perm_module(sl2_group(q), "projective-points", r)
+    square = tensor(proj, proj)
+    steps = _spy_steps(monkeypatch)
+    for seed in range(1, 6):
+        steps.clear()
+        want_states: list = []
+        want = _factor_digests(full_chop(square, seed, want_states))
+        assert _factor_digests(chop(square, seed=seed)) == want, f"chop seed {seed}"
+        assert [state for *_, state in steps] == want_states, f"chop seed {seed}"
+        assert any(known for _, known, *_ in steps), f"chop seed {seed}"
+
+
+def test_replay_spends_the_budget_like_the_full_step(monkeypatch):
+    """With no kernel small enough to certify from, the replaying step draws
+    the whole budget and raises the full step's error, leaving the generator
+    where the full step leaves it."""
+    import chardeg.modules as modules
+
+    m = natural_restricted(9)
+    assert is_irreducible(m) and m.dim == 4
+    monkeypatch.setattr(modules, "LINE_ENUM_LIMIT", 0)
+    monkeypatch.setattr(modules, "ALGEBRA_BUDGET", 6)
+    outcomes = []
+    for step in (full_meataxe_step, modules._meataxe_step, functools.partial(modules._meataxe_step, known=True)):
+        rng = np.random.default_rng(11)
+        with pytest.raises(modules.InconclusiveError) as err:
+            step(m, rng)
+        outcomes.append((str(err.value), rng.bit_generator.state))
+    assert outcomes[0][0] == "no decision for a 4-dimensional module within 6 tries"
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_a_repeated_factor_is_certified_without_a_spin(monkeypatch):
+    """Chop seed 42 of the sl2:11/F2 square meets its two 24-dim factors in
+    turn: the first takes the full step, the second, isomorphic to it, takes
+    the replay and no spin, and so does every later repeat."""
+    proj = perm_module(sl2_group(11), "projective-points", 2)
+    steps = _spy_steps(monkeypatch)
+    chop(tensor(proj, proj), seed=42)
+    certified = []
+    for m, known, verdict, spins, _ in steps:
+        repeat = any(is_isomorphic(have, m) for have in certified)
+        assert known == repeat and (spins == 0) == repeat, m.dim
+        if verdict == "irr" and not repeat:
+            certified.append(m)
+    assert [m.dim for m, known, *_ in steps if m.dim == 24] == [24, 24]
+    assert [known for m, known, *_ in steps if m.dim == 24] == [False, True]
+
+
+def test_a_certified_dimension_alone_takes_the_full_step(monkeypatch):
+    """The two 3-dim irreducibles of SL2(7) over F2 are duals, not isomorphic:
+    with one certified, a chop of the other takes the full step, while a chop
+    of the certified one replays."""
+    three, other = (e.module for e in irreducible_catalog(sl2_group(7), 2, 36).select(dim=3))
+    assert not is_isomorphic(three, other)
+    steps = _spy_steps(monkeypatch)
+    assert chop(other, seed=5, certified=[three]) == [other]
+    assert chop(three, seed=5, certified=[three]) == [three]
+    assert [(known, verdict, spins > 0) for _, known, verdict, spins, _ in steps] == [
+        (False, "irr", True),
+        (True, "irr", False),
+    ]
 
 
 # sha256 of the JSON of natural_restricted(q) for every q the group layer enumerates
