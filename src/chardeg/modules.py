@@ -5,8 +5,9 @@ elements of the group algebra supply kernel vectors, spinning either
 splits the module or, through Norton's two-sided test, certifies
 irreducibility.  A search that exhausts its budget surfaces as
 InconclusiveError, never as a wrong answer.  A chop certifies each
-isomorphism type once: a module with the dimension and class traces of a
-certified irreducible and a nonzero Hom from it is that irreducible again
+isomorphism type once per ledger of certified irreducibles, which it
+extends: a module with the dimension and class traces of a certified
+irreducible and a nonzero Hom from it is that irreducible again
 (the Hom's kernel is a submodule), so its step skips every spin and only
 replays the random draws, reading each draw's nullity off one echelon.  On
 an irreducible module the spins of the full step never touch the
@@ -439,26 +440,25 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     )
 
 
-def chop(m: GModule, seed: int = 42, *, certified=()) -> list[GModule]:
+def chop(m: GModule, seed: int = 42, *, certified: list[GModule] | None = None) -> list[GModule]:
     """Composition factors with multiplicity; each factor is certified.
 
-    A module isomorphic to a factor this call certified, or to one of the
-    irreducibles in certified, takes the replaying step: the same verdict
-    and the same draws, with no spin.
+    certified is the caller's ledger, one irreducible per type, extended in
+    place by each factor of a type it lacks (the returned object, in factor
+    order).  A module of a ledger type, of any dimension, is not decided
+    again: its step replays the full step's verdict and draws with no spin.
     """
     if m.dim > CHOP_DIM_CAP:
         raise CapExceeded(f"dimension {m.dim} exceeds the chop cap {CHOP_DIM_CAP}")
     rng = np.random.default_rng(seed)
-    known = list(certified)
+    known = [] if certified is None else certified
     factors: list[GModule] = []
     stack = [m]
     while stack:
         cur = stack.pop()
-        if cur.dim == 1:
-            factors.append(cur)
-            continue
         seen = any(is_isomorphic(have, cur) for have in known)
-        verdict, W = _meataxe_step(cur, rng, known=seen)
+        # a 1-dimensional module is irreducible and its step would draw nothing
+        verdict, W = _meataxe_step(cur, rng, known=seen) if cur.dim > 1 else ("irr", None)
         if verdict == "irr":
             factors.append(cur)
             if not seen:
@@ -622,35 +622,34 @@ def irreducible_catalog(
     it has modules to chop, and reaching the abstract irreducible count,
     which certifies completeness, leaves nothing to chop.  Each round after
     the first chops tensors of pairs not tried before, so the search ends.
-    Every chop is handed the irreducibles found so far as certified.
+    One ledger, known, holds a certified irreducible of each type met, of
+    any dimension: every chop extends it and each dual is tested against it,
+    so each type is decided once.  found is known up to the keep cap, in order.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
     expected = irreducible_count(group, r)
     keep_cap = max(dim_cap, 32)
     q = group.field.order
-    found: list[GModule] = [trivial_module(group, r)]
+    known: list[GModule] = [trivial_module(group, r)]
     pending = [perm_module(group, "projective-points", r)]
     if q * q - 1 <= CHOP_DIM_CAP:
         pending.append(perm_module(group, "nonzero-vectors", r))
-
-    def register(mod: GModule) -> None:
-        if mod.dim <= keep_cap and not any(is_isomorphic(have, mod) for have in found):
-            found.append(mod)
-
     tensored: set[tuple[int, int]] = set()
-    dualed = 0  # found[:dualed] have had their duals registered
+    dualed = 0  # found[:dualed] have had their duals tested
     while pending:
         for mod in pending:
-            for factor in chop(mod, seed=seed, certified=found):
-                register(factor)
+            chop(mod, seed=seed, certified=known)
+            found = [m for m in known if m.dim <= keep_cap]
             if len(found) == expected:
                 break
         pending = []
         if len(found) < expected:
             new, dualed = found[dualed:], len(found)
-            for mod in new:
-                register(dual(mod))
+            for mod in map(dual, new):
+                if not any(is_isomorphic(have, mod) for have in known):
+                    known.append(mod)
+                    found.append(mod)
         if len(found) < expected:
             candidates = []
             for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):

@@ -352,6 +352,7 @@ def check_chop_dimension_conservation(h: Harness):
         for e in h.catalog(q, r).entries:
             if 2 <= e.dim <= 6:
                 pool.append((q, r, e))
+    ledgers = {(q, r): [e.module for e in h.catalog(q, r).entries] for q, r, _cap in CATALOG_SPECS}
     failures = []
     n = 0
     while n < 100:
@@ -359,7 +360,7 @@ def check_chop_dimension_conservation(h: Harness):
         candidates = [entry for qq, rr, entry in pool if qq == q and rr == r]
         e2 = candidates[int(rng.integers(len(candidates)))]
         prod = tensor(e.module, e2.module)
-        factors = chop(prod, seed=int(rng.integers(1 << 30)))
+        factors = chop(prod, seed=int(rng.integers(1 << 30)), certified=ledgers[(q, r)])
         n += 1
         if sum(f.dim for f in factors) != prod.dim:
             failures.append([q, r, e.dim, e2.dim])

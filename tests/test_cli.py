@@ -456,7 +456,7 @@ def test_verify_spent_chop_budget_is_inconclusive(monkeypatch, tmp_path):
     import chardeg.verify as verify
     from chardeg.modules import InconclusiveError
 
-    def spent(m, seed=42):
+    def spent(m, seed=42, certified=None):
         raise InconclusiveError("budget spent on purpose")
 
     monkeypatch.setattr(verify, "chop", spent)

@@ -9,6 +9,7 @@ import pytest
 from chardeg.fields import field_make
 from chardeg.groups import (
     FIELD_ORDER_CAP,
+    GroupTable,
     _batch_mul,
     sl2_group,
     sylow_char_subgroups,
@@ -836,6 +837,74 @@ def test_a_certified_dimension_alone_takes_the_full_step(monkeypatch):
         (False, "irr", True),
         (True, "irr", False),
     ]
+
+
+def test_chop_extends_the_ledger_with_its_new_types_in_place(monkeypatch):
+    """chop appends to the caller's ledger each factor of a type the ledger
+    lacks, the returned object itself, in factor order (the ledger's trivial
+    module catches the 1-dim factors).  A second chop of the same module at
+    the same seed, handed that ledger, certifies every factor by the replay,
+    with no spin, adds nothing and returns the same bytes."""
+    proj = perm_module(sl2_group(11), "projective-points", 2)
+    square = tensor(proj, proj)
+    trivial = trivial_module(square.group, 2)
+    ledger = [trivial]
+    factors = chop(square, seed=42, certified=ledger)
+    new: list = []
+    for f in factors:
+        if not any(is_isomorphic(have, f) for have in [trivial, *new]):
+            new.append(f)
+    assert any(f.dim == 1 for f in factors) and len(new) > 1
+    assert len(ledger) == 1 + len(new)
+    assert all(a is b for a, b in zip(ledger, [trivial, *new]))
+    steps = _spy_steps(monkeypatch)
+    again = chop(square, seed=42, certified=ledger)
+    assert len(ledger) == 1 + len(new)
+    assert _factor_digests(again) == _factor_digests(factors)
+    certifying = [(known, spins) for _, known, verdict, spins, _ in steps if verdict == "irr"]
+    assert certifying and all(known and spins == 0 for known, spins in certifying)
+
+
+def test_no_hom_pair_is_solved_twice_in_a_catalog_build(monkeypatch):
+    """Each isomorphism type is decided once per build: no (source, target)
+    pair of modules reaches the Hom solve twice.  The spy keeps every module
+    it sees alive, so no id is reused by another module."""
+    import chardeg.modules as modules
+
+    pairs: list = []
+    solve = modules.hom_space_dim
+
+    def recorded_solve(m1, m2):
+        pairs.append((m1, m2))
+        return solve(m1, m2)
+
+    monkeypatch.setattr(modules, "hom_space_dim", recorded_solve)
+    for q, r, cap in ((7, 2, 20), (9, 5, 36)):
+        pairs.clear()
+        irreducible_catalog(sl2_group(q), r, cap, seed=42)
+        keys = [(id(a), id(b)) for a, b in pairs]
+        assert keys and len(set(keys)) == len(keys), f"sl2:{q}/F{r}"
+
+
+# sha256 of the catalog JSON and the JSON list of its entries' modules at cap
+# 36 and seed 42, for the Borel subgroup of SL2(p) over F_p, p -> digest.  Its
+# unipotent radical is a normal p-group, so its irreducibles are the p - 1
+# characters of the torus: nontrivial 1-dim types, which the chop gate decides
+BOREL_CATALOG_DIGESTS = {
+    5: "ec9cc346cb2a5966cb794723a4d6c040f7d6355ce4beb93b35d80595e6bc145f",
+    7: "66e7c66bef805a73f6140a9095f679c34f91e4d134fe6c3f5428dba6b110c580",
+}
+
+
+def test_borel_catalogs_of_one_dimensional_types_are_pinned():
+    for p, want in BOREL_CATALOG_DIGESTS.items():
+        F = field_make(p)
+        w = F.generator
+        borel = GroupTable(F, np.asarray([[[w, 0], [0, pow(w, -1, p)]], [[1, 1], [0, 1]]]))
+        cat = irreducible_catalog(borel, p, 36, seed=42)
+        assert cat.complete and [e.dim for e in cat.entries] == [1] * (p - 1), f"p = {p}"
+        modules = [e.module.to_json() for e in cat.entries]
+        assert _json_sha256([cat.to_json(), modules]) == want, f"p = {p}"
 
 
 # sha256 of the JSON of natural_restricted(q) for every q the group layer enumerates
