@@ -3,14 +3,15 @@
 
     python3 benchmarks/bench_meataxe_layers.py --label "after: float64 products"
 
-Times spin, nullspace, _random_algebra_element, split_module and chop on
-permutation modules of SL2(q) over F2, F3 and F5:
+Times spin, nullspace, rref_prime, _random_algebra_element, split_module
+and chop on permutation modules of SL2(q) over F2, F3 and F5:
 
   d = 100  the tensor square of SL2(9) on the 10 projective points;
   d = 144  the tensor square of SL2(11) on the 12 projective points;
   d = 288  SL2(17) on the 288 nonzero vectors of F17^2.
 
-Every input is fixed by SEED, so two checkouts time the same work.  chop
+Every input is fixed by SEED, so two checkouts time the same work:
+nullspace and rref_prime reduce the same random algebra element.  chop
 runs at d = 100 and 144 only: at d = 288 it raises InconclusiveError over
 F3 and F5 at most chop seeds (ROADMAP item 1).  Each layer reports the
 median of REPEATS calls.  --src picks the chardeg sources to time (default:
@@ -67,6 +68,7 @@ def _module(q: int, action: str, r: int, square: bool):
 def time_layers(seed: int, repeats: int) -> dict:
     import numpy as np
 
+    from chardeg.kernels import rref_prime
     from chardeg.linalg import nullspace
     from chardeg.modules import _meataxe_step, _random_algebra_element, chop, spin, split_module
 
@@ -84,6 +86,7 @@ def time_layers(seed: int, repeats: int) -> dict:
             key = f"d={d} F{r}"
             out[f"spin {key}"] = _median_time(lambda: spin(F, [v], act, d), repeats)
             out[f"nullspace {key}"] = _median_time(lambda: nullspace(F, A), repeats)
+            out[f"rref_prime {key}"] = _median_time(lambda: rref_prime(A, r), repeats)
             out[f"random_algebra_element {key}"] = _median_time(
                 lambda: _random_algebra_element(np.random.default_rng(seed), F, m.gen_images),
                 repeats,

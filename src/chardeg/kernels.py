@@ -187,12 +187,15 @@ def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Reduced row echelon form over F_p; returns (reduced, pivot columns, sources).
 
     Only the columns nonzero in A can hold pivots, since row operations keep
-    a zero column zero.  The pivot row is any row with a nonzero entry, as
-    the reduced form is unique; it is zero left of the pivot, so only the
-    columns from the pivot on, in the rows nonzero in the pivot column, are
-    eliminated.  sources[i] is the row of A swapped into pivot row i: a row
-    not yet a pivot row is its source row plus a combination of the pivot
-    rows so far, so the source rows are independent and span the row space.
+    a zero column zero.  The pivot row is the row, at or below the next
+    pivot row, with the largest residue in the column, the first among
+    equals; spin's word record relies on that rule.  The rows from the next
+    pivot row down are zero left of the column, so the swap and the
+    elimination touch only the columns from the pivot on, in the rows
+    nonzero in the pivot column.  sources[i] is the row of A swapped into
+    pivot row i: a row not yet a pivot row is its source row plus a
+    combination of the pivot rows so far, so the source rows are independent
+    and span the row space.
     """
     R = np.ascontiguousarray(A, dtype=np.int64) % p
     m = R.shape[0]
@@ -203,14 +206,17 @@ def rref_prime(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         if row == m:
             break
         pr = row + int(R[row:, col].argmax())
-        if not R[pr, col]:
+        lead = int(R[pr, col])
+        if not lead:
             continue
         if pr != row:
-            R[[row, pr]] = R[[pr, row]]
+            held = R[row, col:].copy()
+            R[row, col:] = R[pr, col:]
+            R[pr, col:] = held
             order[row], order[pr] = order[pr], order[row]
         piv = R[row, col:]
-        if piv[0] != 1:
-            piv *= pow(int(piv[0]), p - 2, p)
+        if lead != 1:
+            piv *= pow(lead, p - 2, p)
             piv %= p
         f = R[:, col].copy()
         f[row] = 0

@@ -518,7 +518,13 @@ def endo_dim(m: GModule) -> int:
 
 def is_isomorphic(m1: GModule, m2: GModule) -> bool:
     """Whether a nonzero Hom joins modules of equal dimension and class
-    traces (both necessary); exact when either module is irreducible."""
+    traces (both necessary); exact when either module is irreducible.  A
+    1-dimensional representation is fixed by its generator scalars, so two
+    1-dimensional modules are isomorphic exactly when those are equal."""
+    if m1.dim == m2.dim == 1:
+        if m1.group is not m2.group or m1.field != m2.field:
+            raise ModuleError("isomorphism needs the same group and field")
+        return all((a - b) % m1.field.p == 0 for a, b in zip(m1.gen_images, m2.gen_images))
     return m1.dim == m2.dim and m1.class_traces == m2.class_traces and hom_space_dim(m1, m2) > 0
 
 

@@ -1,7 +1,10 @@
 """Test-only helpers: the generator-word replay oracle, the set-based subgroup
 closure, the forward-then-invert orbit stabilizers, the chop that certifies
-every factor in full, the multiplicative order and small conveniences that
-no library code needs."""
+every factor in full, the twelve-base primality test with Floyd-cycle rho
+and the fancy-index echelon as references for numtheory and kernels, the
+multiplicative order and small conveniences that no library code needs."""
+
+import math
 
 import numpy as np
 
@@ -229,3 +232,98 @@ def full_chop(m: GModule, seed: int, states: list) -> list[GModule]:
             stack.append(quot)
             stack.append(sub)
     return factors
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    """Miller-Rabin to the twelve bases 2..37 after trial division by them,
+    deterministic below psi_12 = 318665857834031151167461."""
+    if n < 2:
+        return False
+    for p in TWELVE_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in TWELVE_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def floyd_rho(n: int) -> int:
+    """A nontrivial factor of a composite odd n: Pollard rho with Floyd's
+    cycle finding, one gcd per step."""
+    for c in range(1, 64):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"rho failed on {n}")
+
+
+def reference_factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} by trial division by the twelve bases, then Floyd
+    rho split by twelve_base_is_prime."""
+    out: dict[int, int] = {}
+    for p in TWELVE_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if twelve_base_is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = floyd_rho(m)
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def fancy_swap_rref(A, p: int):
+    """kernels.rref_prime's (reduced, pivots, sources) with the pivot row
+    swapped in by a fancy index of both whole rows and the leading residue
+    read back from the array: the largest residue in the column at or below
+    the next pivot row, the first among equals."""
+    R = np.ascontiguousarray(A, dtype=np.int64) % p
+    m = R.shape[0]
+    order = list(range(m))
+    pivots = []
+    for col in R.any(axis=0).nonzero()[0].tolist():
+        row = len(pivots)
+        if row == m:
+            break
+        pr = row + int(R[row:, col].argmax())
+        if not R[pr, col]:
+            continue
+        if pr != row:
+            R[[row, pr]] = R[[pr, row]]
+            order[row], order[pr] = order[pr], order[row]
+        piv = R[row, col:]
+        if piv[0] != 1:
+            piv *= pow(int(piv[0]), p - 2, p)
+            piv %= p
+        f = R[:, col].copy()
+        f[row] = 0
+        hit = f.nonzero()[0]
+        if hit.size:
+            R[hit, col:] = (R[hit, col:] - f[hit, None] * piv) % p
+        pivots.append(col)
+    return R, np.asarray(pivots, dtype=np.int64), np.asarray(order[: len(pivots)], dtype=np.int64)

@@ -452,6 +452,15 @@ def test_three_vertices():
     assert 7 in scan.pi_empty_list  # pi(8) - {2} is empty
 
 
+def test_three_vertices_at_the_scan_cap():
+    """Herzog's list of odd q with three primes in |PSL2(q)| is complete up to
+    10^6; the pi-empty q, those with q - 1 or q + 1 a power of 2, are 9 and
+    the Fermat and Mersenne primes."""
+    scan = three_vertices_classify(10**6)
+    assert scan.three_prime_list == (5, 7, 9, 17)
+    assert scan.pi_empty_list == (5, 7, 9, 17, 31, 127, 257, 8191, 65537, 131071, 524287)
+
+
 def test_three_vertices_match_direct_factorization():
     """Both lists against factorizing q - 1, q + 1 and q(q^2 - 1)/2 directly."""
 

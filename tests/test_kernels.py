@@ -12,7 +12,7 @@ from chardeg.fields import FieldError, field_make
 from chardeg.groups import sl2_group
 from chardeg.linalg import mat_inv
 from chardeg.modules import LINE_ENUM_LIMIT, _kernel_lines, _spin, perm_module, spin
-from oracles import orbit_stabilizers_by_inversion, same_orbit_stabilizers
+from oracles import fancy_swap_rref, orbit_stabilizers_by_inversion, same_orbit_stabilizers
 
 
 def _random_invertible(rng, F, n):
@@ -242,6 +242,27 @@ def test_rref_prime_edge_shapes_match_gauss_jordan():
             _assert_rref_matches_gauss_jordan(A, p)
             # entries outside [0, p) are reduced first
             _assert_rref_matches_gauss_jordan(A - 2 * p, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+def test_rref_prime_keeps_the_argmax_pivot_row(p):
+    """Reduced form, pivots and sources, dtype and bytes, against the
+    fancy-index echelon with the same pivot-row rule.  The sources pin the
+    rule itself, which the tests against Gauss-Jordan leave open: spin's word
+    record reads them."""
+    rng = np.random.default_rng(p)
+    cases = [np.zeros((0, 3), dtype=np.int64), np.zeros((4, 5), dtype=np.int64)]
+    for _ in range(40):
+        m, n = (int(x) for x in rng.integers(1, 24, size=2))
+        k = int(rng.integers(1, min(m, n) + 1))
+        low_rank = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+        zero_cols = rng.integers(0, p, size=(m, n))
+        zero_cols[:, rng.random(n) < 0.4] = 0
+        cases += [rng.integers(0, p, size=(m, n)), low_rank, zero_cols, rng.integers(-3 * p, 3 * p, size=(m, n))]
+    for A in cases:
+        got, want = kernels.rref_prime(A, p), fancy_swap_rref(A, p)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_mul_mod_matches_python_ints():

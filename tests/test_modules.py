@@ -896,15 +896,33 @@ BOREL_CATALOG_DIGESTS = {
 }
 
 
+def _borel_catalog(p: int):
+    F = field_make(p)
+    w = F.generator
+    borel = GroupTable(F, np.asarray([[[w, 0], [0, pow(w, -1, p)]], [[1, 1], [0, 1]]]))
+    return irreducible_catalog(borel, p, 36, seed=42)
+
+
 def test_borel_catalogs_of_one_dimensional_types_are_pinned():
     for p, want in BOREL_CATALOG_DIGESTS.items():
-        F = field_make(p)
-        w = F.generator
-        borel = GroupTable(F, np.asarray([[[w, 0], [0, pow(w, -1, p)]], [[1, 1], [0, 1]]]))
-        cat = irreducible_catalog(borel, p, 36, seed=42)
+        cat = _borel_catalog(p)
         assert cat.complete and [e.dim for e in cat.entries] == [1] * (p - 1), f"p = {p}"
         modules = [e.module.to_json() for e in cat.entries]
         assert _json_sha256([cat.to_json(), modules]) == want, f"p = {p}"
+
+
+def test_one_dimensional_isomorphism_matches_the_hom_solve():
+    """is_isomorphic compares the generator scalars of two 1-dim modules; on
+    every pair of the Borel catalogs' entries and their duals (a dual is
+    another entry, so equal types come as distinct objects) it agrees with a
+    nonzero Hom."""
+    for p in BOREL_CATALOG_DIGESTS:
+        ones = [e.module for e in _borel_catalog(p).entries]
+        ones += [dual(m) for m in ones]
+        pairs = list(itertools.product(ones, ones))
+        answers = [is_isomorphic(a, b) for a, b in pairs]
+        assert answers == [hom_space_dim(a, b) > 0 for a, b in pairs], f"p = {p}"
+        assert not all(answers) and any(same for (a, b), same in zip(pairs, answers) if a is not b)
 
 
 # sha256 of the JSON of natural_restricted(q) for every q the group layer enumerates
