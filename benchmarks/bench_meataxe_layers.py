@@ -13,10 +13,11 @@ and chop on permutation modules of SL2(q) over F2, F3 and F5:
 Every input is fixed by SEED, so two checkouts time the same work:
 nullspace and rref_prime reduce the same random algebra element.  chop
 runs at d = 100 and 144 only: at d = 288 it raises InconclusiveError over
-F3 and F5 at most chop seeds (ROADMAP item 1).  Each layer reports the
-median of REPEATS calls.  --src picks the chardeg sources to time (default:
-the ones beside this script); the record names their git commit, with
-"-dirty" appended when those sources differ from it.
+F3 and F5 at most chop seeds (ROADMAP item 1).  Each layer makes one
+untimed warm-up call, then reports the median of REPEATS timed ones.
+--src picks the chardeg sources to time (default: the ones beside this
+script); the record names their git commit, with "-dirty" appended when
+those sources differ from it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ OUT = ROOT / "BENCH_meataxe.json"
 
 
 def _median_time(fn, repeats: int) -> float:
+    fn()  # warm-up, untimed
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -128,6 +130,7 @@ def main(argv=None) -> int:
         "commit": _commit(args.src),
         "date": time.strftime("%Y-%m-%d"),
         "seed": SEED,
+        "warmup": 1,
         "repeats": REPEATS,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verification check failed or ended in an error,
 2 usage error, 3 a cap or randomized-search budget was exceeded (for
-verify: a check was inconclusive).  All randomized
+verify: a check was inconclusive and none failed or erred).  All randomized
 procedures key off --seed (or the CHARDEG_SEED environment variable, a
 non-negative integer), and identical invocations produce byte-identical
 JSON, except for the wall-clock seconds in the "timings" block of a
@@ -151,9 +151,9 @@ def _cmd_verify(args) -> int:
         line = f"[{r.status.upper():5s}] {r.suite}/{r.name} ({r.elapsed:.1f}s)"
         print(line, file=sys.stderr)
     _emit(payload, args.out)
-    if any(r.status == "inconclusive" for r in results):
-        return CAP_ERROR
-    return 0 if all(r.status == "pass" for r in results) else 1
+    if any(r.status in ("fail", "error") for r in results):
+        return 1
+    return CAP_ERROR if any(r.status == "inconclusive" for r in results) else 0
 
 
 def _seed(text: str) -> int:

@@ -622,15 +622,22 @@ def irreducible_catalog(
     """All irreducibles over F_r up to dim_cap, from permutation seeds.
 
     The permutation modules on projective points and nonzero vectors are
-    chopped, and the found set is closed under dual and pairwise tensor
-    (tensor inputs limited to product dimension TENSOR_WORK_CAP; the cap on
-    reported entries is dim_cap).  One stopping rule: the search runs while
-    it has modules to chop, and reaching the abstract irreducible count,
-    which certifies completeness, leaves nothing to chop.  Each round after
-    the first chops tensors of pairs not tried before, so the search ends.
+    chopped, and the found set is closed under pairwise tensor (tensor
+    inputs limited to product dimension TENSOR_WORK_CAP; the cap on reported
+    entries is dim_cap).  One stopping rule: the search runs while it has
+    modules to chop, and reaching the abstract irreducible count, which
+    certifies completeness, leaves nothing to chop.  Each round after the
+    first chops tensors of pairs not tried before, so the search ends.
     One ledger, known, holds a certified irreducible of each type met, of
-    any dimension: every chop extends it and each dual is tested against it,
-    so each type is decided once.  found is known up to the keep cap, in order.
+    any dimension: every chop extends it, so each type is decided once.
+    found is known up to the keep cap, in order.
+
+    No dual is tested: the seeds are self-dual, a pair is queued by its
+    dimensions (a pair cut from one round, in a later one), and a factor of
+    A⊗B has its dual among the factors of A*⊗B*.  So, by induction over the
+    order in which types join the ledger, found is dual-closed when the
+    search ends; a queuing rule that breaks this symmetry must restore a
+    dual pass.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
@@ -642,7 +649,6 @@ def irreducible_catalog(
     if q * q - 1 <= CHOP_DIM_CAP:
         pending.append(perm_module(group, "nonzero-vectors", r))
     tensored: set[tuple[int, int]] = set()
-    dualed = 0  # found[:dualed] have had their duals tested
     while pending:
         for mod in pending:
             chop(mod, seed=seed, certified=known)
@@ -650,12 +656,6 @@ def irreducible_catalog(
             if len(found) == expected:
                 break
         pending = []
-        if len(found) < expected:
-            new, dualed = found[dualed:], len(found)
-            for mod in map(dual, new):
-                if not any(is_isomorphic(have, mod) for have in known):
-                    known.append(mod)
-                    found.append(mod)
         if len(found) < expected:
             candidates = []
             for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):

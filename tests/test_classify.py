@@ -418,6 +418,11 @@ def test_predicted_graph_rejects_bad_descriptors():
         predicted_cut_vertex_graph(GroupDescriptor("a", 7, 5, vgk=frozenset({3})))
     with pytest.raises(ClassifyError):
         predicted_cut_vertex_graph(GroupDescriptor("c", 11, 2, vgk=frozenset({2})))
+    outer = "the outer part must have order prime to the characteristic"
+    with pytest.raises(ClassifyError, match=outer):
+        predicted_cut_vertex_graph(GroupDescriptor("a", 7, 5, vgk=frozenset({5}), outer=frozenset({7})))
+    with pytest.raises(ClassifyError, match=outer):
+        predicted_cut_vertex_graph(GroupDescriptor("a", 7, 5, vgk=frozenset({5}), t_divides_outer=True))
 
 
 def test_two_component_check_psl27():
@@ -430,6 +435,19 @@ def test_two_component_check_failing_condition():
     res = two_component_check(TwoComponentInput(7, "psl2", True, False))
     assert not res.satisfied
     assert res.failed_conditions == ("G/K is abelian",)
+
+
+def test_two_component_check_reports_each_remaining_condition_alone():
+    """t | |G/CK| fails only at q != 4, and unextended linear parts fail the
+    natural extension at t = 2; each is the one condition reported."""
+    res = two_component_check(TwoComponentInput(7, "psl2", True, True, t_divides_g_over_ck=True))
+    assert res.failed_conditions == ("t does not divide |G/CK|",)
+    assert not res.satisfied and res.predicted_components is None
+    at_4 = TwoComponentInput(4, "psl2", True, True, t_divides_g_over_ck=True, ck_proper=True)
+    assert two_component_check(at_4).satisfied
+    res = two_component_check(TwoComponentInput(8, "natural_ext", False, True, linear_parts_extend=False))
+    assert res.failed_conditions == ("linear characters of the module extend to their inertia groups",)
+    assert not res.satisfied
 
 
 def test_two_component_cross_check_catches_mismatch():

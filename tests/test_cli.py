@@ -472,6 +472,28 @@ def test_verify_spent_chop_budget_is_inconclusive(monkeypatch, tmp_path):
     assert (report["passed"], report["failed"], report["inconclusive"]) == (0, 0, 1)
 
 
+@pytest.mark.parametrize("other,code", [("fail", 1), ("error", 1), ("pass", 3)])
+def test_verify_exit_code_puts_a_failure_before_an_inconclusive_check(monkeypatch, tmp_path, other, code):
+    """A failed or erroring check exits 1 even when another check is
+    inconclusive; 3 is left for runs whose only non-pass is inconclusive."""
+    import chardeg.verify as verify
+    from chardeg.modules import InconclusiveError
+
+    def spent(h):
+        raise InconclusiveError("budget spent on purpose")
+
+    def stub(h):
+        if other == "error":
+            raise ValueError("raised on purpose")
+        return 1, (1 if other == "pass" else 2)
+
+    monkeypatch.setattr(verify, "CHECKS", (("a-spent", "groups", spent), ("b-other", "groups", stub)))
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--out", str(out_file)]) == code
+    report = json.loads(out_file.read_text())
+    assert [c["status"] for c in report["checks"]] == ["inconclusive", other]
+
+
 def test_verify_isolates_a_failed_orbit_stabilizer_identity(monkeypatch, tmp_path):
     import chardeg.orbits as orbits
     import chardeg.verify as verify

@@ -703,6 +703,13 @@ def _json_sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _duals_found_once(cat) -> bool:
+    """Each entry's dual is isomorphic to exactly one entry: the catalog
+    search tests no dual, so its closure rule must keep the entries dual-closed."""
+    mods = [e.module for e in cat.entries]
+    return all(sum(is_isomorphic(dual(m), have) for have in mods) == 1 for m in mods)
+
+
 # sha256 of the JSON list of every entry's module in each CATALOG_SPECS
 # catalog at seed 42, (q, r) -> digest
 CATALOG_MODULE_DIGESTS = {
@@ -721,8 +728,10 @@ CATALOG_MODULE_DIGESTS = {
 def test_catalog_module_bytes_are_pinned(harness):
     assert list(CATALOG_MODULE_DIGESTS) == [(q, r) for q, r, _cap in CATALOG_SPECS]
     for (q, r), want in CATALOG_MODULE_DIGESTS.items():
-        modules = [e.module.to_json() for e in harness.catalog(q, r).entries]
+        cat = harness.catalog(q, r)
+        modules = [e.module.to_json() for e in cat.entries]
         assert _json_sha256(modules) == want, f"sl2:{q}/F{r}"
+        assert _duals_found_once(cat), f"sl2:{q}/F{r}"
 
 
 # (complete, entry count, sha256 of the catalog JSON and the JSON list of its
@@ -741,6 +750,7 @@ def test_catalogs_outside_the_specs_are_pinned():
         assert (cat.complete, len(cat.entries)) == (complete, count)
         modules = [e.module.to_json() for e in cat.entries]
         assert _json_sha256([cat.to_json(), modules]) == want, f"sl2:{q}/F{r}"
+        assert _duals_found_once(cat), f"sl2:{q}/F{r}"
 
 
 def _spy_steps(monkeypatch):
@@ -909,6 +919,7 @@ def test_borel_catalogs_of_one_dimensional_types_are_pinned():
         assert cat.complete and [e.dim for e in cat.entries] == [1] * (p - 1), f"p = {p}"
         modules = [e.module.to_json() for e in cat.entries]
         assert _json_sha256([cat.to_json(), modules]) == want, f"p = {p}"
+        assert _duals_found_once(cat), f"p = {p}"
 
 
 def test_one_dimensional_isomorphism_matches_the_hom_solve():
