@@ -10,6 +10,10 @@ and chop on permutation modules of SL2(q) over F2, F3 and F5:
   d = 144  the tensor square of SL2(11) on the 12 projective points;
   d = 288  SL2(17) on the 288 nonzero vectors of F17^2.
 
+It also times whole catalog builds, irreducible_catalog at their
+verify.CATALOG_SPECS caps on a prebuilt group, for CATALOGS: the layer that
+skips chops whose eigenvalue profile adds no type.
+
 Every input is fixed by SEED, so two checkouts time the same work:
 nullspace and rref_prime reduce the same random algebra element.  chop
 runs at d = 100 and 144 only: at d = 288 it raises InconclusiveError over
@@ -44,6 +48,7 @@ MODULES = (
     (288, 17, "nonzero-vectors", False),
 )
 PRIMES = (2, 3, 5)
+CATALOGS = ((9, 2, 20), (9, 3, 16), (13, 3, 12))
 SEED = 42
 REPEATS = 5
 OUT = ROOT / "BENCH_meataxe.json"
@@ -70,9 +75,17 @@ def _module(q: int, action: str, r: int, square: bool):
 def time_layers(seed: int, repeats: int) -> dict:
     import numpy as np
 
+    from chardeg.groups import sl2_group
     from chardeg.kernels import rref_prime
     from chardeg.linalg import nullspace
-    from chardeg.modules import _meataxe_step, _random_algebra_element, chop, spin, split_module
+    from chardeg.modules import (
+        _meataxe_step,
+        _random_algebra_element,
+        chop,
+        irreducible_catalog,
+        spin,
+        split_module,
+    )
 
     out = {}
     for d, q, action, square in MODULES:
@@ -97,6 +110,11 @@ def time_layers(seed: int, repeats: int) -> dict:
                 out[f"split_module {key}"] = _median_time(lambda: split_module(m, W), repeats)
             if d <= 144:
                 out[f"chop {key}"] = _median_time(lambda: chop(m, seed=seed), repeats)
+    for q, r, cap in CATALOGS:
+        g = sl2_group(q)
+        out[f"catalog sl2:{q}/F{r} cap {cap}"] = _median_time(
+            lambda: irreducible_catalog(g, r, cap, seed=seed), repeats
+        )
     return out
 
 

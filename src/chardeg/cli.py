@@ -145,8 +145,9 @@ def _cmd_extension(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(args.suite, Harness(args.seed))
-    payload = report_json(results)
+    harness = Harness(args.seed)
+    results = run_checks(args.suite, harness)
+    payload = report_json(results, harness.catalog_seconds)
     for r in sorted(results, key=lambda r: r.name):
         line = f"[{r.status.upper():5s}] {r.suite}/{r.name} ({r.elapsed:.1f}s)"
         print(line, file=sys.stderr)

@@ -24,6 +24,7 @@ is normal), so neither has a dimension cap.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,7 @@ from chardeg.groups import (
 from chardeg.kernels import bfs_levels, mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import is_prime
+from chardeg.polys import cyclotomic_labels
 
 CHOP_DIM_CAP = 512
 ALGEBRA_BUDGET = 200
@@ -109,6 +111,8 @@ class GModule:
         gens = np.stack(self.gen_images)
         for lo, hi in bfs_levels(parent):
             a, b = np.searchsorted(nodes, (lo, hi))
+            if a == b:  # no asked element or ancestor at this level
+                continue
             at = nodes[a:b]
             out[a:b] = mul_mod(out[np.searchsorted(nodes, parent[at])], gens[pgen[at]], self.field.p)
         return out[np.searchsorted(nodes, positions)]
@@ -166,6 +170,43 @@ class GModule:
         Binv = mat_inv(self.field, B)
         Cs = [mul_mod(Binv, mul_mod(M, B, p), p) for M in self.gen_images]
         return [codes for codes, _ in rounds], sum(int(codes[0] < 0) for codes, _ in rounds), Cs
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """The Brauer character in integer form, over the r-regular classes of
+        regular_class_cycles: for each class g, of order m, the number of
+        times each zeta^j, j < m, is an eigenvalue of g (zeta as in
+        polys.cyclotomic_labels), one block of m counts per class.
+
+        r does not divide m, so x^m - 1 is square-free, the module is the
+        direct sum of the kernels of f(g) over its irreducible factors f, and
+        zeta^j's count is dim ker f(g) / deg f for the factor f that vanishes
+        at it.  f(g) is taken by Horner in mul_mod, for every factor but the
+        last, whose kernel fills the rest of the module.  Profiles add over
+        composition factors, and those of distinct irreducibles are linearly
+        independent.  The class representatives are imaged one at a time.
+        """
+        p, d = self.field.p, self.dim
+        ident = identity_matrix(d)
+        blocks = []
+        for g in regular_class_cycles(self.group, p).tolist():
+            factors, labels = cyclotomic_labels(int(self.group.element_orders[g]), p)
+            image = self.images([g])[0]
+            nullities = []
+            for f in factors[:-1]:
+                A = image
+                for c in f[-2:0:-1]:  # f = (c_0, ..., c_{e-1}, 1): c_{e-1} down to c_1
+                    A = mul_mod((A + c * ident) % p, image, p)
+                nullities.append(d - rref_prime((A + f[0] * ident) % p, p)[1].size)
+            nullities.append(d - sum(nullities))
+            degrees = [len(f) - 1 for f in factors]
+            if nullities[-1] < 0 or any(n % e for n, e in zip(nullities, degrees)):
+                raise ModuleError(f"the eigenspaces of element {g} do not fill the module")
+            counts = np.asarray([n // e for n, e in zip(nullities, degrees)], dtype=np.int64)
+            blocks.append(counts[labels])
+        out = np.concatenate(blocks)
+        out.flags.writeable = False
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -593,24 +634,85 @@ class Catalog:
         }
 
 
-def irreducible_count(group: GroupTable, r: int) -> int:
-    """Number of irreducible F_r-modules: r-regular classes mod r-th powers.
+# one array of cycle representatives per (group, r), dropped with the group
+_CYCLE_REPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    The r-th power map permutes the r-regular classes; the count is the
-    number of its cycles.
+
+def regular_class_cycles(group: GroupTable, r: int) -> np.ndarray:
+    """One class representative per cycle of the r-th power map on the
+    r-regular classes: the representative of the cycle's least class, in
+    class-id order.  Cached per (group, r).
+
+    The r-th power map permutes the r-regular classes, which GroupError
+    certifies; x and x^r have the same eigenvalues up to Frobenius, so one
+    class per cycle carries all of a Brauer character.
     """
-    cls = group.conjugacy_classes
-    reps = group.class_reps
-    regular = np.flatnonzero(group.element_orders[reps] % r != 0)
-    position = np.full(reps.size, -1, dtype=np.int64)
-    position[regular] = np.arange(regular.size)
-    step = position[cls[_powers(group, reps[regular], r)]]
-    if (step < 0).any():
-        raise GroupError("power map left the regular classes")
-    if (np.bincount(step, minlength=regular.size) != 1).any():
-        raise GroupError("power map is not a permutation of the regular classes")
-    least = orbit_labels([step], regular.size)
-    return int((least == np.arange(regular.size)).sum())
+    cached = _CYCLE_REPS.setdefault(group, {})
+    if r not in cached:
+        cls = group.conjugacy_classes
+        reps = group.class_reps
+        regular = np.flatnonzero(group.element_orders[reps] % r != 0)
+        position = np.full(reps.size, -1, dtype=np.int64)
+        position[regular] = np.arange(regular.size)
+        step = position[cls[_powers(group, reps[regular], r)]]
+        if (step < 0).any():
+            raise GroupError("power map left the regular classes")
+        if (np.bincount(step, minlength=regular.size) != 1).any():
+            raise GroupError("power map is not a permutation of the regular classes")
+        least = orbit_labels([step], regular.size)
+        cycle_reps = reps[regular[least == np.arange(regular.size)]]
+        cycle_reps.flags.writeable = False
+        cached[r] = cycle_reps
+    return cached[r]
+
+
+def irreducible_count(group: GroupTable, r: int) -> int:
+    """Number of irreducible F_r-modules: r-regular classes mod r-th powers,
+    the number of cycles of the power map (regular_class_cycles)."""
+    return int(regular_class_cycles(group, r).size)
+
+
+def tensor_profile(m1: GModule, m2: GModule) -> np.ndarray:
+    """The profile of tensor(m1, m2) from the factors' profiles: the
+    eigenvalues of g on a tensor product are the products of eigenvalues, so
+    each class's block is the cyclic convolution, mod the class's element
+    order, of the two blocks."""
+    if m1.group is not m2.group or m1.field != m2.field:
+        raise ModuleError("tensor requires the same group and field")
+    group = m1.group
+    blocks, start = [], 0
+    for m in group.element_orders[regular_class_cycles(group, m1.field.p)].tolist():
+        a, b = m1.profile[start : start + m], m2.profile[start : start + m]
+        k = np.arange(m)
+        blocks.append(b[(k[:, None] - k[None, :]) % m] @ a)
+        start += m
+    return np.concatenate(blocks)
+
+
+def in_rational_span(rows, v) -> bool:
+    """Whether the integer vector v lies in the rational span of the integer
+    rows: rank(rows and v) == rank(rows), each rank by fraction-free
+    (Bareiss) elimination in Python integers, whose every division is exact."""
+    return _integer_rank([*rows, v]) == _integer_rank(rows)
+
+
+def _integer_rank(rows) -> int:
+    M = [[int(x) for x in row] for row in rows]
+    rank, last = 0, 1
+    for c in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        top = M[rank]
+        for i in range(rank + 1, len(M)):
+            row = M[i]
+            M[i] = [(top[c] * x - row[c] * y) // last for x, y in zip(row, top)]
+        last = top[c]
+        rank += 1
+        if rank == len(M):
+            break
+    return rank
 
 
 def irreducible_catalog(
@@ -638,6 +740,13 @@ def irreducible_catalog(
     order in which types join the ledger, found is dual-closed when the
     search ends; a queuing rule that breaks this symmetry must restore a
     dual pass.
+
+    A module whose profile lies in the rational span of the ledger's
+    profiles has no composition factor off the ledger, so it is not chopped.
+    Each ledger type is profiled once, directly, and so is each seed; a
+    queued product's profile is tensor_profile of its factors'.  chop seeds
+    its own generator and a skipped module would add no type, so the skip
+    changes no ledger, no later chop and no byte of the catalog.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
@@ -645,12 +754,16 @@ def irreducible_catalog(
     keep_cap = max(dim_cap, 32)
     q = group.field.order
     known: list[GModule] = [trivial_module(group, r)]
-    pending = [perm_module(group, "projective-points", r)]
+    found = list(known)
+    seeds = [perm_module(group, "projective-points", r)]
     if q * q - 1 <= CHOP_DIM_CAP:
-        pending.append(perm_module(group, "nonzero-vectors", r))
+        seeds.append(perm_module(group, "nonzero-vectors", r))
+    pending = [(mod, mod.profile) for mod in seeds]
     tensored: set[tuple[int, int]] = set()
     while pending:
-        for mod in pending:
+        for mod, profile in pending:
+            if in_rational_span([m.profile for m in known], profile):
+                continue  # every composition factor is on the ledger
             chop(mod, seed=seed, certified=known)
             found = [m for m in known if m.dim <= keep_cap]
             if len(found) == expected:
@@ -666,7 +779,7 @@ def irreducible_catalog(
             candidates.sort()
             for _, ai, bi in candidates[:8]:
                 tensored.add((ai, bi))
-                pending.append(tensor(found[ai], found[bi]))
+                pending.append((tensor(found[ai], found[bi]), tensor_profile(found[ai], found[bi])))
     entries = []
     for mod in found:
         if mod.dim > dim_cap:

@@ -92,13 +92,16 @@ class CheckResult:
 
 
 class Harness:
-    """Caches shared heavy objects across checks."""
+    """Caches shared heavy objects across checks, and records the wall-clock
+    seconds of each catalog build (catalog_seconds, keyed like "sl2:13/F3"),
+    which a check's own time would otherwise hide."""
 
     def __init__(self, seed: int = 42):
         self.seed = seed
         self._groups: dict = {}
         self._catalogs: dict = {}
         self._orbit_reports: dict = {}
+        self.catalog_seconds: dict[str, float] = {}
 
     def group(self, q: int):
         if q not in self._groups:
@@ -109,7 +112,10 @@ class Harness:
         key = (q, r)
         if key not in self._catalogs:
             cap = {(qq, rr): c for qq, rr, c in CATALOG_SPECS}[key]
-            self._catalogs[key] = irreducible_catalog(self.group(q), r, cap, seed=self.seed)
+            group = self.group(q)
+            t0 = time.perf_counter()
+            self._catalogs[key] = irreducible_catalog(group, r, cap, seed=self.seed)
+            self.catalog_seconds[f"sl2:{q}/F{r}"] = time.perf_counter() - t0
         return self._catalogs[key]
 
     def orbit_report(self, module):
@@ -684,14 +690,19 @@ def run_checks(suite: str = "all", harness: Harness | None = None) -> list[Check
     return results
 
 
-def report_json(results: list[CheckResult]) -> dict:
-    """The run's report; wall-clock seconds per check sit apart in "timings",
-    so everything outside that block is the same on every identical run."""
+def report_json(results: list[CheckResult], catalog_seconds: dict[str, float]) -> dict:
+    """The run's report; wall-clock seconds sit apart in "timings", so
+    everything outside that block is the same on every identical run.  The
+    block holds each check's time, which includes the catalog builds it
+    triggered, and each catalog build's own time (Harness.catalog_seconds)."""
     ordered = sorted(results, key=lambda r: r.name)
     return {
         "checks": [r.to_json() for r in ordered],
         "passed": sum(r.status == "pass" for r in results),
         "failed": sum(r.status in ("fail", "error") for r in results),
         "inconclusive": sum(r.status == "inconclusive" for r in results),
-        "timings": {"elapsed_s": {r.name: round(r.elapsed, 3) for r in ordered}},
+        "timings": {
+            "elapsed_s": {r.name: round(r.elapsed, 3) for r in ordered},
+            "catalog_build_s": {k: round(v, 3) for k, v in sorted(catalog_seconds.items())},
+        },
     }

@@ -1,9 +1,11 @@
 """Test-only helpers: the generator-word replay oracle, the set-based subgroup
 closure, the forward-then-invert orbit stabilizers, the chop that certifies
-every factor in full, the twelve-base primality test with Floyd-cycle rho
-and the fancy-index echelon as references for numtheory and kernels, the
-multiplicative order and small conveniences that no library code needs."""
+every factor in full, the catalog search that chops every module it meets,
+the twelve-base primality test with Floyd-cycle rho and the fancy-index
+echelon as references for numtheory and kernels, the multiplicative order
+and small conveniences that no library code needs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,13 +16,23 @@ from chardeg.fields import Field
 from chardeg.kernels import _key_perms, _number_orbits, bfs_levels, mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import identity_matrix, nullspace
 from chardeg.modules import (
+    CHOP_DIM_CAP,
+    TENSOR_WORK_CAP,
+    Catalog,
+    CatalogEntry,
     GModule,
     InconclusiveError,
     _kernel_lines,
     _meataxe_step,
     _random_algebra_element,
+    chop,
+    endo_dim,
+    irreducible_count,
+    perm_module,
     spin,
     split_module,
+    tensor,
+    trivial_module,
 )
 from chardeg.numtheory import factorize
 
@@ -327,3 +339,41 @@ def fancy_swap_rref(A, p: int):
             R[hit, col:] = (R[hit, col:] - f[hit, None] * piv) % p
         pivots.append(col)
     return R, np.asarray(pivots, dtype=np.int64), np.asarray(order[: len(pivots)], dtype=np.int64)
+
+
+def chop_every_module_catalog(group: GroupTable, r: int, dim_cap: int, seed: int, chops: list) -> Catalog:
+    """modules.irreducible_catalog with no profile test: every seed and every
+    queued product is chopped.  Appends (module, the ledger before its chop)
+    to chops for each chop, in order."""
+    expected = irreducible_count(group, r)
+    keep_cap = max(dim_cap, 32)
+    q = group.field.order
+    known = [trivial_module(group, r)]
+    pending = [perm_module(group, "projective-points", r)]
+    if q * q - 1 <= CHOP_DIM_CAP:
+        pending.append(perm_module(group, "nonzero-vectors", r))
+    tensored = set()
+    while pending:
+        for mod in pending:
+            chops.append((mod, list(known)))
+            chop(mod, seed=seed, certified=known)
+            found = [m for m in known if m.dim <= keep_cap]
+            if len(found) == expected:
+                break
+        pending = []
+        if len(found) < expected:
+            candidates = []
+            for ai, bi in itertools.combinations_with_replacement(range(len(found)), 2):
+                da, db = found[ai].dim, found[bi].dim
+                if (ai, bi) in tensored or da == 1 or db == 1 or da * db > TENSOR_WORK_CAP:
+                    continue
+                candidates.append((da * db, ai, bi))
+            candidates.sort()
+            for _, ai, bi in candidates[:8]:
+                tensored.add((ai, bi))
+                pending.append(tensor(found[ai], found[bi]))
+    entries = [
+        CatalogEntry(m, m.dim, endo_dim(m), m.is_faithful, m.fingerprint()) for m in found if m.dim <= dim_cap
+    ]
+    entries.sort(key=lambda e: (e.dim, e.ell, not e.faithful, e.fingerprint))
+    return Catalog(group, r, dim_cap, tuple(entries), len(found) == expected, expected)

@@ -298,6 +298,23 @@ def test_verify_out_is_byte_identical_outside_timings(capsys, tmp_path):
     assert all(set(c) == {"name", "suite", "status", "expected", "observed"} for c in ra["checks"])
 
 
+def test_catalog_build_times_sit_in_the_timings_block():
+    """The harness times each catalog build once, apart from its group, and
+    the report carries those times inside "timings" only."""
+    import chardeg.verify as verify
+
+    h = verify.Harness(seed=42)
+    results = verify.run_checks("ledgers", h)
+    assert verify.report_json(results, h.catalog_seconds)["timings"]["catalog_build_s"] == {}
+    first = h.catalog(4, 2)
+    assert h.catalog(4, 2) is first and h.catalog(5, 2) is not first
+    assert list(h.catalog_seconds) == ["sl2:4/F2", "sl2:5/F2"]
+    assert all(t > 0 for t in h.catalog_seconds.values())
+    report = verify.report_json(results, h.catalog_seconds)
+    assert report["timings"]["catalog_build_s"] == {k: round(v, 3) for k, v in h.catalog_seconds.items()}
+    assert "sl2:4/F2" not in json.dumps({k: v for k, v in report.items() if k != "timings"})
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -30,12 +30,15 @@ from chardeg.modules import (
     module_from_json,
     natural_restricted,
     perm_module,
+    regular_class_cycles,
     spin,
     tensor,
+    tensor_profile,
     trivial_module,
 )
 from chardeg.verify import CATALOG_SPECS
 from oracles import (
+    chop_every_module_catalog,
     full_chop,
     full_meataxe_step,
     is_irreducible,
@@ -316,10 +319,13 @@ def test_small_catalogs_are_seed_independent():
         assert all(other == first for other in rest), (q, r)
 
 
-def test_irreducible_count_broken_power_map_is_a_group_error(g5, monkeypatch):
+def test_irreducible_count_broken_power_map_is_a_group_error(monkeypatch):
+    """The power-map cycles are cached per (group, r), so a group of its own
+    keeps the broken map from meeting a cached count."""
     import chardeg.modules as modules
     from chardeg.groups import GroupError
 
+    g5 = sl2_group(5)
     involution = int(np.flatnonzero(g5.element_orders == 2)[0])
     monkeypatch.setattr(modules, "_powers", lambda group, xs, n: np.full(len(xs), involution))
     with pytest.raises(GroupError, match="left the regular classes"):
@@ -966,3 +972,99 @@ def test_natural_restricted_bytes_are_pinned():
     assert list(NATURAL_DIGESTS) == prime_powers(4, FIELD_ORDER_CAP)
     for q, want in NATURAL_DIGESTS.items():
         assert _json_sha256(natural_restricted(q).to_json()) == want, f"q={q}"
+
+
+# -- eigenvalue profiles and the catalog's skipped chops -------------------------
+
+SMALL_SPECS = [(q, r, cap) for q, r, cap in CATALOG_SPECS if q <= 9]
+
+
+def test_profiles_decide_isomorphism_on_the_small_catalogs(harness):
+    """Equal profiles exactly when is_isomorphic, on every pair of the q <= 9
+    catalog entries and their duals (each dual is another entry, so equal
+    types also come as distinct objects)."""
+    for q, r, _cap in SMALL_SPECS:
+        mods = [e.module for e in harness.catalog(q, r).entries]
+        mods += [dual(m) for m in mods]
+        for a, b in itertools.product(mods, mods):
+            same = np.array_equal(a.profile, b.profile)
+            assert same == is_isomorphic(a, b), f"sl2:{q}/F{r} dims {a.dim}, {b.dim}"
+
+
+def test_profile_blocks_follow_the_power_map_cycles(harness):
+    """One block per cycle, as long as its element order; a dual reverses each
+    block's exponents, j -> -j mod m, and the trivial module's block is one
+    eigenvalue 1."""
+    for q, r, _cap in SMALL_SPECS:
+        g = harness.group(q)
+        orders = g.element_orders[regular_class_cycles(g, r)].tolist()
+        for e in harness.catalog(q, r).entries:
+            prof = e.module.profile
+            assert prof.size == sum(orders) and prof.sum() == e.dim * len(orders)
+            flipped, start = [], 0
+            for m in orders:
+                block = prof[start : start + m]
+                flipped.append(block[(-np.arange(m)) % m])
+                start += m
+            assert np.array_equal(dual(e.module).profile, np.concatenate(flipped))
+        trivial = trivial_module(g, r).profile
+        assert trivial.tolist() == [int(j == 0) for m in orders for j in range(m)]
+
+
+def test_tensor_profile_matches_the_built_tensor(harness):
+    """The convolution of two profiles is the direct profile of the product,
+    on every pair of nontrivial q <= 9 catalog entries."""
+    pairs = 0
+    for q, r, _cap in SMALL_SPECS:
+        mods = [e.module for e in harness.catalog(q, r).entries if e.dim > 1]
+        for a, b in itertools.combinations_with_replacement(mods, 2):
+            assert np.array_equal(tensor_profile(a, b), tensor(a, b).profile), f"sl2:{q}/F{r}"
+            pairs += 1
+    assert pairs == 46
+
+
+@pytest.mark.parametrize("q,r", list(CHOP_DIGESTS), ids=[f"sl2:{q}/F{r}" for q, r in CHOP_DIGESTS])
+def test_chop_factor_profiles_add_up_to_the_module(q, r):
+    proj = perm_module(sl2_group(q), "projective-points", r)
+    square = tensor(proj, proj)
+    factors = chop(square, seed=42)
+    assert np.array_equal(sum(f.profile for f in factors), square.profile)
+    assert np.array_equal(square.profile, tensor_profile(proj, proj))
+
+
+def _module_bytes(m) -> bytes:
+    return b"".join(g.tobytes() for g in m.gen_images)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_skipped_chops_add_no_type(seed, monkeypatch):
+    """Every q <= 9 CATALOG_SPECS build and both OUTSIDE_SPECS_CATALOGS pins
+    write the catalog JSON and module bytes of the search that chops every
+    module, its chops are a subsequence of that search's, and each module it
+    skips, chopped against a copy of the ledger it met, adds no type."""
+    import chardeg.modules as modules
+
+    specs = SMALL_SPECS + [(q, r, 36) for q, r in OUTSIDE_SPECS_CATALOGS]
+    chop_fn, skipped = modules.chop, 0
+    for q, r, cap in specs:
+        g = sl2_group(q)
+        want_chops: list = []
+        want = chop_every_module_catalog(g, r, cap, seed, want_chops)
+        got_chops: list = []
+        monkeypatch.setattr(modules, "chop", lambda m, **kw: got_chops.append(m) or chop_fn(m, **kw))
+        got = irreducible_catalog(g, r, cap, seed=seed)
+        monkeypatch.setattr(modules, "chop", chop_fn)
+        label = f"sl2:{q}/F{r} cap {cap}"
+        assert got.to_json() == want.to_json(), label
+        assert [_module_bytes(e.module) for e in got.entries] == [_module_bytes(e.module) for e in want.entries]
+        remaining = [_module_bytes(m) for m in got_chops]
+        for m, ledger in want_chops:
+            if remaining and _module_bytes(m) == remaining[0]:
+                remaining.pop(0)
+                continue
+            copy = list(ledger)
+            chop(m, seed=seed, certified=copy)
+            assert len(copy) == len(ledger), label
+            skipped += 1
+        assert not remaining, label
+    assert skipped > 0
