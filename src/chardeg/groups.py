@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from chardeg.fields import Field, digits, field_make, undigits
-from chardeg.kernels import _number_orbits, orbit_labels
+from chardeg.kernels import _number_orbits, bfs_levels, orbit_labels
 from chardeg.numtheory import factorize, p_part, prime_power_split
 
 #: largest field order a GroupTable accepts: its dense key index has q^4 int32
@@ -168,6 +168,11 @@ class GroupTable:
         if (at < 0).any():
             raise GroupError("a matrix is not an element of the group")
         return at.astype(np.int64)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, int], ...]:
+        """The levels [lo, hi) of the BFS tree after the root (kernels.bfs_levels), read once."""
+        return tuple(bfs_levels(self.parent))
 
     @cached_property
     def element_orders(self) -> np.ndarray:

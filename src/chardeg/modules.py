@@ -16,9 +16,11 @@ and every factor's bytes stay the same.  spin is the one closure routine;
 the Hom solve reads its standard basis and the basis words off spin's
 record of each round.
 GModule.images is the one map from group elements to module matrices: a
-walk of the group's BFS tree over the asked elements and their ancestors.
-Class traces and the kernel read the class representatives alone (a kernel
-is normal), so neither has a dimension cap.
+walk of the group's BFS tree (GroupTable.levels) over the asked elements
+and their ancestors.  Class traces, the kernel and the profile read one
+cached stack of class-representative images (a kernel is normal), so none
+has a dimension cap; a permutation module's profile needs no image at all,
+since it is read off the cycles of the points.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from chardeg.groups import (
     _powers,
     group_from_json,
 )
-from chardeg.kernels import bfs_levels, mul_mod, orbit_labels, rref_prime
+from chardeg.kernels import mul_mod, orbit_labels, rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import is_prime
 from chardeg.polys import cyclotomic_labels
@@ -97,7 +99,7 @@ class GModule:
         word forms.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        parent, pgen = self.group.parent, self.group.parent_gen
+        parent, pgen, gens = self.group.parent, self.group.parent_gen, self._gen_stack
         need = np.zeros(self.group.order, dtype=bool)
         need[0] = True
         walk = positions
@@ -108,14 +110,26 @@ class GModule:
         nodes = np.flatnonzero(need)  # ascending, so every parent precedes its children
         out = np.empty((nodes.size, self.dim, self.dim), dtype=np.int64)
         out[0] = identity_matrix(self.dim)
-        gens = np.stack(self.gen_images)
-        for lo, hi in bfs_levels(parent):
+        for lo, hi in self.group.levels:
             a, b = np.searchsorted(nodes, (lo, hi))
             if a == b:  # no asked element or ancestor at this level
                 continue
             at = nodes[a:b]
             out[a:b] = mul_mod(out[np.searchsorted(nodes, parent[at])], gens[pgen[at]], self.field.p)
         return out[np.searchsorted(nodes, positions)]
+
+    @cached_property
+    def _gen_stack(self) -> np.ndarray:
+        """The generator images as one (generators, dim, dim) stack, for images."""
+        return np.stack(self.gen_images)
+
+    @cached_property
+    def _class_images(self) -> np.ndarray:
+        """The read-only images of the class representatives, in class-id
+        order: one walk serves class_traces, kernel_indices and profile."""
+        out = self.images(self.group.class_reps)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def element_images(self) -> np.ndarray:
@@ -133,7 +147,7 @@ class GModule:
         A kernel is normal, so it is the union of the classes whose
         representative acts as the identity.
         """
-        ident = (self.images(self.group.class_reps) == identity_matrix(self.dim)).all(axis=(1, 2))
+        ident = (self._class_images == identity_matrix(self.dim)).all(axis=(1, 2))
         return tuple(int(i) for i in np.flatnonzero(ident[self.group.conjugacy_classes]))
 
     @property
@@ -155,7 +169,7 @@ class GModule:
         Isomorphic modules agree here, so a mismatch is a cheap
         non-isomorphism certificate; equality still needs the hom solve.
         """
-        traces = np.trace(self.images(self.group.class_reps), axis1=1, axis2=2) % self.field.p
+        traces = np.trace(self._class_images, axis1=1, axis2=2) % self.field.p
         return tuple(traces.tolist())
 
     @cached_property
@@ -184,14 +198,14 @@ class GModule:
         at it.  f(g) is taken by Horner in mul_mod, for every factor but the
         last, whose kernel fills the rest of the module.  Profiles add over
         composition factors, and those of distinct irreducibles are linearly
-        independent.  The class representatives are imaged one at a time.
+        independent.  Each g is read off the stack of class images.
         """
-        p, d = self.field.p, self.dim
+        p, d, group = self.field.p, self.dim, self.group
         ident = identity_matrix(d)
         blocks = []
-        for g in regular_class_cycles(self.group, p).tolist():
-            factors, labels = cyclotomic_labels(int(self.group.element_orders[g]), p)
-            image = self.images([g])[0]
+        for g in regular_class_cycles(group, p).tolist():
+            factors, labels = cyclotomic_labels(int(group.element_orders[g]), p)
+            image = self._class_images[group.conjugacy_classes[g]]
             nullities = []
             for f in factors[:-1]:
                 A = image
@@ -250,10 +264,42 @@ def trivial_module(group: GroupTable, r: int) -> GModule:
     return GModule(group, F, [one] * len(group.gens), check=False)
 
 
-def perm_module(group: GroupTable, action: str, r: int) -> GModule:
-    """Permutation module over F_r on nonzero vectors or projective points."""
-    if not is_prime(r):
-        raise ModuleError("permutation modules are built over prime fields")
+class PermModule(GModule):
+    """A module of permutation matrices from perm_module, on the points of
+    action, whose profile is read off the cycles of the points."""
+
+    def __init__(self, group: GroupTable, field: Field, gen_images, action: str):
+        super().__init__(group, field, gen_images, check=False)
+        self.action = action
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """GModule.profile, with no echelon: a c-cycle of g on the points
+        spans a summand on which g has each c-th root of unity once as an
+        eigenvalue, so for g of order m the count of zeta^j is the number of
+        cycles c with m | j*c.  The points of the regular_class_cycles
+        representatives, side by side, are labelled by one orbit_labels
+        call, and each cycle's length is the size of its label."""
+        group = self.group
+        reps = regular_class_cycles(group, self.field.p)
+        where = _point_images(group, self.action, group.elems[reps])
+        k, n = where.shape
+        side_by_side = (where + n * np.arange(k)[:, None]).reshape(-1)
+        lengths = np.bincount(orbit_labels([side_by_side], k * n), minlength=k * n)
+        blocks = []
+        for i, m in enumerate(group.element_orders[reps].tolist()):
+            cycles = lengths[i * n : (i + 1) * n]
+            cycles = cycles[cycles > 0]
+            blocks.append((np.arange(m)[:, None] * cycles % m == 0).sum(axis=1, dtype=np.int64))
+        out = np.concatenate(blocks)
+        out.flags.writeable = False
+        return out
+
+
+def _point_images(group: GroupTable, action: str, mats: np.ndarray) -> np.ndarray:
+    """Where each matrix of a stack sends each point of the action: entry
+    (k, i) is the position of mats[k] times point i, the points (x, y) in
+    ascending order of their key x*q + y."""
     F = group.field
     q = F.order
     if action == "nonzero-vectors":
@@ -263,21 +309,27 @@ def perm_module(group: GroupTable, action: str, r: int) -> GModule:
         ys = np.r_[1, np.arange(q)]
     else:
         raise ModuleError(f"unknown action {action!r}")
-    n = xs.size
-    # the domain (x, y) in ascending order of its key x*q + y; column i is where point i goes
-    keys = xs * q + ys
     points = np.stack([xs, ys], axis=1)[:, :, None]
-    mul, inv = F.tables[1], F.tables[3]
+    x, y = np.moveaxis(_batch_mul(F, mats[:, None], points[None])[..., 0], -1, 0)
+    image = x * q + y
+    if action == "projective-points":  # the point (1, y/x), or (0, 1) when x = 0
+        mul, inv = F.tables[1], F.tables[3]
+        image = np.where(x != 0, q + mul[inv[x], y], 1)
+    return np.searchsorted(xs * q + ys, image)
+
+
+def perm_module(group: GroupTable, action: str, r: int) -> PermModule:
+    """Permutation module over F_r on nonzero vectors or projective points."""
+    if not is_prime(r):
+        raise ModuleError("permutation modules are built over prime fields")
+    columns = _point_images(group, action, group.gens)
+    n = columns.shape[1]
     images = []
-    for g in group.gens:
-        x, y = _batch_mul(F, g, points)[:, :, 0].T
-        image = x * q + y
-        if action == "projective-points":  # the point (1, y/x), or (0, 1) when x = 0
-            image = np.where(x != 0, q + mul[inv[x], y], 1)
+    for column in columns:  # column i is where point i goes
         M = np.zeros((n, n), dtype=np.int64)
-        M[np.searchsorted(keys, image), np.arange(n)] = 1
+        M[column, np.arange(n)] = 1
         images.append(M)
-    return GModule(group, field_make(r), images, check=False)
+    return PermModule(group, field_make(r), images, action)
 
 
 def natural_restricted(q: int, group: GroupTable | None = None) -> GModule:
@@ -481,29 +533,48 @@ def split_module(m: GModule, basis_rows: np.ndarray) -> tuple[GModule, GModule]:
     )
 
 
-def chop(m: GModule, seed: int = 42, *, certified: list[GModule] | None = None) -> list[GModule]:
+def chop(
+    m: GModule,
+    seed: int = 42,
+    *,
+    certified: list[GModule] | None = None,
+    profile: np.ndarray | None = None,
+) -> list[GModule]:
     """Composition factors with multiplicity; each factor is certified.
 
     certified is the caller's ledger, one irreducible per type, extended in
     place by each factor of a type it lacks (the returned object, in factor
     order).  A module of a ledger type, of any dimension, is not decided
     again: its step replays the full step's verdict and draws with no spin.
+
+    profile, given with a ledger, is m's profile, and the chop then stops
+    once the pieces left cannot add a type, returning the factors so far.
+    The pieces' profile, rest, is profile less the ledger type's profile of
+    each factor; profiles add over composition factors and those of
+    distinct irreducibles are linearly independent, so while rest lies in
+    the rational span of the ledger's profiles no piece has a type off the
+    ledger.  Without profile every factor is returned.
     """
     if m.dim > CHOP_DIM_CAP:
         raise CapExceeded(f"dimension {m.dim} exceeds the chop cap {CHOP_DIM_CAP}")
     rng = np.random.default_rng(seed)
     known = [] if certified is None else certified
+    rest = profile
     factors: list[GModule] = []
     stack = [m]
     while stack:
         cur = stack.pop()
-        seen = any(is_isomorphic(have, cur) for have in known)
+        have = next((h for h in known if is_isomorphic(h, cur)), None)
         # a 1-dimensional module is irreducible and its step would draw nothing
-        verdict, W = _meataxe_step(cur, rng, known=seen) if cur.dim > 1 else ("irr", None)
+        verdict, W = _meataxe_step(cur, rng, known=have is not None) if cur.dim > 1 else ("irr", None)
         if verdict == "irr":
             factors.append(cur)
-            if not seen:
+            if have is None:
                 known.append(cur)
+            if rest is not None:
+                rest = rest - (cur if have is None else have).profile
+                if stack and in_rational_span([k.profile for k in known], rest):
+                    break
         else:
             sub, quot = split_module(cur, W)
             stack.append(quot)
@@ -742,11 +813,14 @@ def irreducible_catalog(
     dual pass.
 
     A module whose profile lies in the rational span of the ledger's
-    profiles has no composition factor off the ledger, so it is not chopped.
-    Each ledger type is profiled once, directly, and so is each seed; a
-    queued product's profile is tensor_profile of its factors'.  chop seeds
-    its own generator and a skipped module would add no type, so the skip
-    changes no ledger, no later chop and no byte of the catalog.
+    profiles has no composition factor off the ledger, so it is not chopped;
+    by the same test, chop, handed the module's profile, stops once the
+    pieces it has left cannot add a type.  Each ledger type is profiled
+    once, directly, and so is each seed (a permutation module by its
+    cycles); a queued product's profile is tensor_profile of its factors'.
+    chop seeds its own generator, and a skipped module or piece would add
+    no type, so neither the skip nor the stop changes a ledger, a later chop
+    or a byte of the catalog.
     """
     if not is_prime(r):
         raise ModuleError("catalogs are built over prime fields")
@@ -764,7 +838,7 @@ def irreducible_catalog(
         for mod, profile in pending:
             if in_rational_span([m.profile for m in known], profile):
                 continue  # every composition factor is on the ledger
-            chop(mod, seed=seed, certified=known)
+            chop(mod, seed=seed, certified=known, profile=profile)
             found = [m for m in known if m.dim <= keep_cap]
             if len(found) == expected:
                 break

@@ -18,6 +18,8 @@ from chardeg.kernels import rref_prime
 from chardeg.linalg import identity_matrix, mat_inv, nullspace
 from chardeg.numtheory import p_part, prime_divisors, prime_powers
 from chardeg.modules import (
+    CHOP_DIM_CAP,
+    GModule,
     ModuleError,
     chop,
     dual,
@@ -36,7 +38,7 @@ from chardeg.modules import (
     tensor_profile,
     trivial_module,
 )
-from chardeg.verify import CATALOG_SPECS
+from chardeg.verify import CATALOG_SPECS, Harness
 from oracles import (
     chop_every_module_catalog,
     full_chop,
@@ -740,6 +742,33 @@ def test_catalog_module_bytes_are_pinned(harness):
         assert _duals_found_once(cat), f"sl2:{q}/F{r}"
 
 
+# the same digests at harness seed 7, (q, r) -> digest
+CATALOG_MODULE_DIGESTS_SEED_7 = {
+    (4, 2): "37629cc583b62307afb1c6fae4e85d7f57331c57432143e01d193ec3c74b9dbd",
+    (4, 3): "ad8c1f1e377e4f9916326c6a2f2c576498bc3ec6e8024c3e42a2f56118aa9424",
+    (5, 2): "94fa2a40bed5c8b88265cb61950cd079edfcaa6669baf4e85e5b0d00e186a861",
+    (5, 3): "7c83387ec976e53cb4139b2839133f2a0138380a8a43562b7d752b0efffa6d97",
+    (7, 2): "ed72d23c79b5fdafbffe1fb07b803a2265a39176a1330e2e441c793118cb4fba",
+    (9, 2): "0bc1138ed35fb058feb78a54afbe9eebb05d09af031393e1a25374846fed87c1",
+    (9, 3): "4b6597b92f068ed883eb886ee2c21d3527d0dd2869431d386aa5bba56b1b1fe9",
+    (11, 3): "89baee613c049f1b4116238d68a1c513086abc5cea480c4e17e70dbe5f21b800",
+    (13, 3): "e22210ca0d7915fc194e0078837ea282d02d37c5cd3243bc9dbb81a111747104",
+}
+
+
+def test_catalog_module_bytes_are_pinned_at_seed_7():
+    """A second seed: chop seeds its generator from the harness seed, so the
+    catalog modules differ from seed 42's, and a change to the chop's path
+    could show at one seed and not the other."""
+    assert list(CATALOG_MODULE_DIGESTS_SEED_7) == [(q, r) for q, r, _cap in CATALOG_SPECS]
+    harness = Harness(seed=7)
+    for (q, r), want in CATALOG_MODULE_DIGESTS_SEED_7.items():
+        cat = harness.catalog(q, r)
+        modules = [e.module.to_json() for e in cat.entries]
+        assert _json_sha256(modules) == want, f"sl2:{q}/F{r}"
+        assert _duals_found_once(cat), f"sl2:{q}/F{r}"
+
+
 # (complete, entry count, sha256 of the catalog JSON and the JSON list of its
 # entries' modules) at cap 36 and seed 42: sl2:9/F5 completes only after a
 # tensor round, and sl2:19/F2 stalls with 3 of 5 found, so each way the
@@ -1068,3 +1097,59 @@ def test_skipped_chops_add_no_type(seed, monkeypatch):
             skipped += 1
         assert not remaining, label
     assert skipped > 0
+
+
+def test_permutation_profiles_match_the_echelon_profiles():
+    """The cycle count of a permutation module's profile against the echelon
+    profile of a plain GModule with the same images, for both actions of
+    every SL2(q), q <= 19, within CHOP_DIM_CAP, over every prime dividing the
+    group order; perm_module computes no profile until it is read."""
+    cases = 0
+    for q in prime_powers(4, 19):
+        g = sl2_group(q)
+        for r in prime_divisors(g.order):
+            for action in ("projective-points", "nonzero-vectors"):
+                m = perm_module(g, action, r)
+                if m.dim > CHOP_DIM_CAP:
+                    continue
+                assert "profile" not in vars(m)
+                plain = GModule(g, m.field, m.gen_images, check=False)
+                assert np.array_equal(m.profile, plain.profile), f"sl2:{q}/F{r} {action}"
+                assert m.profile.dtype == plain.profile.dtype and not m.profile.flags.writeable
+                cases += 1
+    assert cases == 68
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_stopped_chops_add_no_type(seed, monkeypatch):
+    """Every q <= 9 CATALOG_SPECS build stops some chop once the pieces left
+    cannot add a type.  Each stopped chop, run to the end against a copy of
+    the ledger it met, returns the stopped chop's factors first and leaves
+    the copy as long as the ledger after the stopped chop: the pieces it
+    left held no new type."""
+    import chardeg.modules as modules
+
+    chop_fn, records = modules.chop, []
+
+    def recorded_chop(m, **kw):
+        before = list(kw["certified"])
+        factors = chop_fn(m, **kw)
+        records.append((m, before, len(kw["certified"]), factors))
+        return factors
+
+    stopped = 0
+    for q, r, cap in SMALL_SPECS:
+        records.clear()
+        monkeypatch.setattr(modules, "chop", recorded_chop)
+        irreducible_catalog(sl2_group(q), r, cap, seed=seed)
+        monkeypatch.setattr(modules, "chop", chop_fn)
+        for m, before, after, factors in records:
+            if sum(f.dim for f in factors) == m.dim:
+                continue
+            copy = list(before)
+            finished = chop(m, seed=seed, certified=copy)
+            assert sum(f.dim for f in finished) == m.dim
+            assert _factor_digests(finished[: len(factors)]) == _factor_digests(factors)
+            assert len(copy) == after, f"sl2:{q}/F{r} dim {m.dim}"
+            stopped += 1
+    assert stopped > 0
